@@ -157,10 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--engine",
         choices=("scalar", "vector"),
-        default="scalar",
-        help="simulation engine: 'scalar' loops each trace through the "
-        "reference simulator; 'vector' batches all traces through the "
-        "SoA kernels (byte-identical results, see docs/ENGINE.md)",
+        default="vector",
+        help="simulation engine: 'vector' (the default) batches every "
+        "eligible trace through the SoA kernels; 'scalar' loops each "
+        "trace through the reference simulator, like CAASPER_ENGINE=scalar "
+        "(byte-identical results, see docs/ENGINE.md)",
     )
 
     obs_parser = sub.add_parser(
@@ -1598,6 +1599,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "sweep":
         from .core.config import CaasperConfig
+        from .sim.dispatch import ENGINE_ENV
         from .sim.sweep import (
             SweepConfig,
             default_recommender_factory,
@@ -1617,17 +1619,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .store import ResultStore
 
             store = ResultStore(args.store_dir)
-        engine = None
-        if args.engine == "vector":
-            from .engine import BatchEngine
-
-            engine = BatchEngine()
+        if args.engine == "scalar":
+            os.environ[ENGINE_ENV] = "scalar"
         outcome = run_sweep(
             traces,
             sweep_config,
             default_recommender_factory(base, sweep_config),
             store=store,
-            engine=engine,
         )
         print(outcome.table())
         aggregate = outcome.aggregate()

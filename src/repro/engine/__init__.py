@@ -6,7 +6,8 @@ Public surface:
   Algorithm 1 control loop at once, byte-identical to N scalar
   ``simulate_trace`` calls;
 - :class:`~repro.engine.jobs.EngineJob` / :func:`~repro.engine.jobs.engine_job_for`
-  — job descriptions and the seam-side eligibility check;
+  — job descriptions and the eligibility check
+  :func:`~repro.sim.dispatch.simulate_many` routes by;
 - :func:`~repro.engine.batch.vectorizable` — whether a config runs on
   the kernels or falls back to the scalar oracle;
 - :func:`~repro.engine.kernel.certify` and the ``*_certified`` probes —

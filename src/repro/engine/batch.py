@@ -267,7 +267,13 @@ class BatchEngine:
                 cohorts=len({_cohort_key(jobs[i].config) for i in vector}),
                 elapsed_seconds=time.perf_counter() - start,
             )
-        return [r for r in results if r is not None]
+        for index, result in enumerate(results):
+            if result is None:
+                raise SimulationError(
+                    f"engine left job {index} ({jobs[index].name} on "
+                    f"{jobs[index].demand.name}) without a result"
+                )
+        return results  # type: ignore[return-value]
 
 
 def _simulate_lane(job: EngineJob) -> SimulationResult:

@@ -2,10 +2,10 @@
 
 An :class:`EngineJob` is everything the batch engine needs to replay one
 trace from scratch: the demand trace, the CaaSPER configuration, and the
-simulator environment. :func:`engine_job_for` is the seam helper the
-sweep/tuning/fleet integrations use to decide whether an existing
-``(trace, recommender, simulator)`` triple can be handed to the engine
-at all — only a *fresh*, configuration-reproducible
+simulator environment. :func:`engine_job_for` is the eligibility check
+:func:`~repro.sim.dispatch.simulate_many` uses to decide whether an
+existing ``(trace, recommender, simulator)`` triple can be handed to the
+engine at all — only a *fresh*, configuration-reproducible
 :class:`~repro.core.recommender.CaasperRecommender` qualifies, because
 the engine rebuilds the recommender's entire observation history itself
 and never mutates the caller's instance.

@@ -31,6 +31,8 @@ from ..trace import CpuTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.observer import Observer
+    from ..sim.dispatch import TraceJob
+    from ..sim.results import SimulationResult
 
 __all__ = [
     "FleetJob",
@@ -101,6 +103,20 @@ class FleetJob(ABC):
         """
         return {"kind": self.kind, "job_id": self.job_id}
 
+    def trace_job(self) -> "TraceJob | None":
+        """The ``(demand, fresh recommender, simulator)`` this job replays.
+
+        ``None`` (the default) for jobs that are not one open-loop trace
+        simulation. The unobserved serial runner batches every job that
+        has one through :func:`~repro.sim.dispatch.simulate_many` and
+        hands each simulation result to :meth:`finish`.
+        """
+        return None
+
+    def finish(self, result: "SimulationResult") -> Any:
+        """This job's result, given its trace simulation's result."""
+        return result
+
     def digest(self) -> str:
         """Content digest of this job spec (first 16 hex chars)."""
         payload = json.dumps(
@@ -144,10 +160,12 @@ class SimulateJob(FleetJob):
             )
 
     def execute(self, seed: int, observer: "Observer | None" = None) -> Any:
+        return simulate_trace(*self.trace_job(), observer)
+
+    def trace_job(self) -> "TraceJob":
         import copy
 
-        recommender = copy.deepcopy(self.recommender)
-        return simulate_trace(self.trace, recommender, self.simulator, observer)
+        return (self.trace, copy.deepcopy(self.recommender), self.simulator)
 
     def digest_payload(self) -> dict[str, Any]:
         payload = super().digest_payload()
@@ -190,18 +208,18 @@ class TrialJob(FleetJob):
             )
 
     def execute(self, seed: int, observer: "Observer | None" = None) -> Any:
+        return self.finish(simulate_trace(*self.trace_job(), observer))
+
+    def trace_job(self) -> "TraceJob":
         from ..core.recommender import CaasperRecommender
-        from ..tuning.search import TrialResult
 
         recommender = CaasperRecommender(self.config, keep_decisions=False)
-        result = simulate_trace(self.demand, recommender, self.simulator, observer)
-        metrics = result.metrics
-        return TrialResult(
-            config=self.config,
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
+        return (self.demand, recommender, self.simulator)
+
+    def finish(self, result: "SimulationResult") -> Any:
+        from ..tuning.search import TrialResult
+
+        return TrialResult.of(self.config, result)
 
     def digest_payload(self) -> dict[str, Any]:
         payload = super().digest_payload()

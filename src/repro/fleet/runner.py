@@ -36,8 +36,8 @@ from .jobs import FleetJob, FleetPlan, JobFailure, JobRecord
 from .journal import FleetJournal
 from .relay import WorkerTelemetry, collect, replay, worker_observer
 
-if TYPE_CHECKING:
-    from ..engine.batch import BatchEngine  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.dispatch import TraceJob
     from ..store.cas import ResultStore
 
 __all__ = ["FleetRunner", "FleetOutcome"]
@@ -228,16 +228,6 @@ class FleetRunner:
         recorded as ``ok`` with zero elapsed seconds — and workers
         write missing results back through the store's atomic blob
         path. After the run, a size-budgeted store is GC'd.
-    engine:
-        Optional :class:`~repro.engine.batch.BatchEngine`. On the
-        serial path with no observer, engine-eligible pending jobs
-        (``SimulateJob`` with a batchable CaaSPER recommender, any
-        ``TrialJob``) step as one vectorized batch instead of one
-        scalar loop per job — byte-identical results, same store keys.
-        Ineligible jobs, parallel runs, and observed runs (which need
-        per-job worker telemetry) use the ordinary per-job path; an
-        engine failure falls back to per-job execution rather than
-        failing the jobs.
     """
 
     def __init__(
@@ -249,7 +239,6 @@ class FleetRunner:
         observer: Observer | None = None,
         max_in_flight: int | None = None,
         store: "ResultStore | None" = None,
-        engine: "BatchEngine | None" = None,
     ) -> None:
         if workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
@@ -270,7 +259,6 @@ class FleetRunner:
         self.observer = observer
         self.max_in_flight = max_in_flight or workers * 2
         self.store = store
-        self.engine = engine
 
     def with_observer(self, observer: Observer | None) -> "FleetRunner":
         """A copy of this runner bound to ``observer``.
@@ -289,7 +277,6 @@ class FleetRunner:
             observer=observer,
             max_in_flight=self.max_in_flight,
             store=self.store,
-            engine=self.engine,
         )
 
     def with_store(self, store: "ResultStore | None") -> "FleetRunner":
@@ -305,7 +292,6 @@ class FleetRunner:
             observer=self.observer,
             max_in_flight=self.max_in_flight,
             store=store,
-            engine=self.engine,
         )
 
     # -- public API ---------------------------------------------------
@@ -353,93 +339,70 @@ class FleetRunner:
     ) -> dict[str, JobRecord]:
         records: dict[str, JobRecord] = {}
         capture = self.observer is not None
-        batched = self._engine_batch(plan, pending)
+        batched: dict[str, tuple] = (
+            {} if capture else self._batched_outcomes(plan, pending)
+        )
         for job in pending:
             self._emit_started(plan, job)
-            seed = plan.seed_for(job)
-            if job.job_id in batched:
-                result, elapsed = batched[job.job_id]
-                outcome = (job.job_id, "ok", result, None, None, elapsed)
-                record = self._merge_one(plan, outcome, journal)
-                records[record.job_id] = record
-                continue
-            key = self._cache_key(job, seed)
-            hit = self._cache_get(job, key)
-            if hit is not None:
-                outcome = (job.job_id, "ok", hit, None, None, 0.0)
-            else:
-                outcome = _execute_job(job, seed, capture)
-                if key is not None and outcome[1] == "ok":
-                    self._cache_put(
-                        key, job.kind, outcome[2], _producer_trace_id(outcome[4])
-                    )
+            outcome = batched.get(job.job_id)
+            if outcome is None:
+                seed = plan.seed_for(job)
+                key = self._cache_key(job, seed)
+                hit = self._cache_get(job, key)
+                if hit is not None:
+                    outcome = (job.job_id, "ok", hit, None, None, 0.0)
+                else:
+                    outcome = _execute_job(job, seed, capture)
+                    if key is not None and outcome[1] == "ok":
+                        self._cache_put(
+                            key, job.kind, outcome[2], _producer_trace_id(outcome[4])
+                        )
             record = self._merge_one(plan, outcome, journal)
             records[record.job_id] = record
         return records
 
-    def _engine_batch(
+    def _batched_outcomes(
         self, plan: FleetPlan, pending: list[FleetJob]
-    ) -> dict[str, tuple[object, float]]:
-        """Step engine-eligible pending jobs as one vectorized batch.
+    ) -> dict[str, tuple]:
+        """Outcomes of the pending trace-simulation jobs, run as one batch.
 
-        Returns ``job_id -> (result, elapsed_seconds)`` for the jobs the
-        engine handled (store hits included, at 0.0 elapsed, under the
-        same per-job keys the scalar path uses). Active only on the
-        serial, unobserved path; any engine exception abandons the batch
-        and leaves every miss to ordinary per-job execution — degrade to
-        slow, never to wrong or to failed.
+        Jobs with a :meth:`~repro.fleet.jobs.FleetJob.trace_job` are
+        looked up in the store (hits come back at 0.0 elapsed) and the
+        misses run as one ``simulate_many`` call, sharing its wall time.
+        Any batch exception abandons the batch and leaves every miss to
+        ordinary per-job execution, which records each failure on its
+        own job — degrade to slow, never to wrong or to failed.
         """
-        if self.engine is None or self.observer is not None:
-            return {}
-        from ..engine.jobs import EngineJob, engine_job_for
-        from .jobs import SimulateJob, TrialJob
+        from ..sim.dispatch import simulate_many
 
-        handled: dict[str, tuple[object, float]] = {}
-        lanes: list[tuple[FleetJob, EngineJob, str | None]] = []
+        outcomes: dict[str, tuple] = {}
+        lanes: list[tuple[FleetJob, str | None, TraceJob]] = []
         for job in pending:
-            seed = plan.seed_for(job)
-            key = self._cache_key(job, seed)
+            trace_job = job.trace_job()
+            if trace_job is None:
+                continue
+            key = self._cache_key(job, plan.seed_for(job))
             hit = self._cache_get(job, key)
             if hit is not None:
-                handled[job.job_id] = (hit, 0.0)
-                continue
-            if isinstance(job, SimulateJob):
-                engine_job = engine_job_for(
-                    job.trace, job.recommender, job.simulator
-                )
-            elif isinstance(job, TrialJob):
-                engine_job = EngineJob.from_config(
-                    job.demand, job.config, job.simulator
-                )
+                outcomes[job.job_id] = (job.job_id, "ok", hit, None, None, 0.0)
             else:
-                engine_job = None
-            if engine_job is not None:
-                lanes.append((job, engine_job, key))
+                lanes.append((job, key, trace_job))
         if not lanes:
-            return handled
+            return outcomes
         start = time.perf_counter()
         try:
-            results = self.engine.run([lane[1] for lane in lanes])
+            results = simulate_many([lane[2] for lane in lanes])
         except Exception:  # lint: disable=EXC001 - per-job path recovers
-            return handled
+            return outcomes
         per_job = (time.perf_counter() - start) / len(lanes)
-        for (job, _engine_job, key), result in zip(lanes, results):
-            if isinstance(job, TrialJob):
-                from ..tuning.search import TrialResult
-
-                metrics = result.metrics
-                result = TrialResult(
-                    config=job.config,
-                    total_slack=metrics.total_slack,
-                    total_insufficient_cpu=metrics.total_insufficient_cpu,
-                    num_scalings=metrics.num_scalings,
-                )
-            handled[job.job_id] = (result, per_job)
+        for (job, key, _), result in zip(lanes, results):
+            result = job.finish(result)
+            outcomes[job.job_id] = (job.job_id, "ok", result, None, None, per_job)
             if key is not None:
-                # Matches the unobserved serial path's write-back: no
-                # worker telemetry, so no producer stamp.
+                # Matches the unobserved per-job write-back: no worker
+                # telemetry, so no producer stamp.
                 self._cache_put(key, job.kind, result)
-        return handled
+        return outcomes
 
     # -- store shortcut -----------------------------------------------
 

@@ -3,6 +3,8 @@
 - :mod:`repro.sim.simulator` — trace-driven, open-loop replay of the
   Figure 1 control loop: recommender decisions, resize delays, and the
   three tuning metrics ``K`` / ``C`` / ``N``.
+- :mod:`repro.sim.dispatch` — ``simulate_many``, the one place that runs
+  a batch of trace simulations on the vector engine or the scalar oracle.
 - :mod:`repro.sim.live` — closed-loop simulation on the full cluster +
   DBaaS substrate: rolling updates, backlog, transaction accounting.
 - :mod:`repro.sim.billing` — the pay-as-you-go billing model (R1).
@@ -11,6 +13,7 @@
 """
 
 from .billing import BillingModel
+from .dispatch import simulate_many
 from .metrics import SimulationMetrics
 from .results import SimulationResult
 from .simulator import SimulatorConfig, simulate_trace
@@ -21,6 +24,7 @@ __all__ = [
     "SimulationMetrics",
     "SimulationResult",
     "SimulatorConfig",
+    "simulate_many",
     "simulate_trace",
     "SweepConfig",
     "SweepOutcome",

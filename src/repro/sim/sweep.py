@@ -23,10 +23,10 @@ from ..obs.spans import span
 from ..trace import CpuTrace
 from .billing import BillingModel
 from .results import SimulationResult
-from .simulator import SimulatorConfig, simulate_trace
+from .dispatch import simulate_many
+from .simulator import SimulatorConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.batch import BatchEngine
     from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
@@ -176,7 +176,6 @@ def run_sweep(
     observer: Observer | None = None,
     executor: "FleetRunner | None" = None,
     store: "ResultStore | None" = None,
-    engine: "BatchEngine | None" = None,
 ) -> SweepOutcome:
     """Evaluate one recommender family over many traces.
 
@@ -206,14 +205,6 @@ def run_sweep(
         (byte-identical decoded results); with an ``executor`` the
         runner is rebound to this store and hits skip process dispatch
         entirely. ``store=None`` is exactly the uncached behaviour.
-    engine:
-        Optional :class:`~repro.engine.batch.BatchEngine` stepping every
-        engine-eligible trace in one vectorized batch (byte-identical
-        results, see ``docs/ENGINE.md``). Only used on the serial
-        in-process path with no ``observer`` — per-minute telemetry and
-        per-trace spans need the scalar loop, and an ``executor`` shards
-        work its own way (construct the :class:`FleetRunner` with an
-        engine instead). Ineligible recommenders fall back per trace.
     """
     if not traces:
         raise SimulationError("sweep needs at least one trace")
@@ -235,59 +226,24 @@ def run_sweep(
         )
         return sweep_outcome(executor.run(plan).require_success())
 
-    results: dict[str, SimulationResult] = {}
-    if engine is not None and observer is None:
-        from ..engine.jobs import engine_job_for
-
-        jobs = []
-        job_names: list[str] = []
-        for trace in traces:
-            recommender = factory(trace)
-            job = engine_job_for(trace, recommender, config.simulator_for(trace))
-            if job is not None:
-                jobs.append(job)
-                job_names.append(trace.name)
-            else:
-                results[trace.name] = simulate_trace(
-                    trace, recommender, config.simulator_for(trace), store=store
-                )
-        for name, result in zip(job_names, engine.run(jobs, store=store)):
-            results[name] = result
-        return SweepOutcome(
-            results={
-                trace.name: SimulationResult(
-                    name=trace.name,
-                    demand=results[trace.name].demand,
-                    usage=results[trace.name].usage,
-                    limits=results[trace.name].limits,
-                    events=results[trace.name].events,
-                    metrics=results[trace.name].metrics,
-                )
-                for trace in traces
-            }
-        )
-
-    for trace in traces:
-        recommender = factory(trace)
-        if observer is not None:
-            with observer.active(), span(f"sweep.trace.{trace.name}"):
-                result = simulate_trace(
-                    trace,
-                    recommender,
-                    config.simulator_for(trace),
-                    observer,
-                    store=store,
-                )
-        else:
-            result = simulate_trace(
-                trace, recommender, config.simulator_for(trace), store=store
+    jobs = [(trace, factory(trace), config.simulator_for(trace)) for trace in traces]
+    if observer is None:
+        results = simulate_many(jobs, store=store)
+    else:
+        results = []
+        for job in jobs:
+            with observer.active(), span(f"sweep.trace.{job[0].name}"):
+                results += simulate_many([job], store=store, observer=observer)
+    return SweepOutcome(
+        results={
+            trace.name: SimulationResult(
+                name=trace.name,
+                demand=result.demand,
+                usage=result.usage,
+                limits=result.limits,
+                events=result.events,
+                metrics=result.metrics,
             )
-        results[trace.name] = SimulationResult(
-            name=trace.name,
-            demand=result.demand,
-            usage=result.usage,
-            limits=result.limits,
-            events=result.events,
-            metrics=result.metrics,
-        )
-    return SweepOutcome(results=results)
+            for trace, result in zip(traces, results)
+        }
+    )

@@ -3,7 +3,8 @@
 These wrappers are the seam the batch entry points
 (:func:`~repro.sim.simulator.simulate_trace`,
 :func:`~repro.sim.sweep.run_sweep`, the tuning searches and the fleet
-runner) call when given a ``store=``. The contract:
+runner) call when given a ``store=``; the tuning searches run every
+trial through :func:`cached_trials`, store or not. The contract:
 
 - **Byte-identical or recomputed.** A hit decodes the stored canonical
   JSON back into result objects that are bit-identical (per
@@ -24,11 +25,12 @@ runner) call when given a ``store=``. The contract:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..baselines.base import Recommender
 from ..core.config import CaasperConfig
 from ..obs.tracing import derive_trace_id, simulate_trace_name
+from ..sim.dispatch import simulate_many
 from ..sim.results import SimulationResult
 from ..sim.simulator import SimulatorConfig, simulate_trace
 from ..trace import CpuTrace
@@ -39,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tuning.search import TrialResult
     from .cas import ResultStore
 
-__all__ = ["cached_simulate", "cached_trial"]
+__all__ = ["cached_simulate", "cached_trial", "cached_trials"]
 
 
 def cached_simulate(
@@ -78,6 +80,58 @@ def cached_simulate(
     return result
 
 
+def cached_trials(
+    configs: Sequence[CaasperConfig],
+    demand: CpuTrace,
+    simulator: SimulatorConfig,
+    observer: "Observer | None" = None,
+    store: "ResultStore | None" = None,
+) -> list["TrialResult"]:
+    """Tuning trials (fresh CaaSPER recommenders) through the store.
+
+    Hits decode under each config's ``trial`` key; the misses run as
+    one :func:`~repro.sim.dispatch.simulate_many` batch and are written
+    back. Results are in config order.
+    """
+    from ..core.recommender import CaasperRecommender
+    from ..tuning.search import TrialResult
+
+    trials: list[TrialResult | None] = [None] * len(configs)
+    keys: list[str | None] = [None] * len(configs)
+    if store is not None:
+        for index, config in enumerate(configs):
+            key = trial_key(config, demand, simulator)
+            keys[index] = key
+            trials[index] = store.get(key, "trial", observer=observer)
+    misses = [index for index, trial in enumerate(trials) if trial is None]
+    results = simulate_many(
+        [
+            (
+                demand,
+                CaasperRecommender(configs[index], keep_decisions=False),
+                simulator,
+            )
+            for index in misses
+        ],
+        observer=observer,
+    )
+    for index, result in zip(misses, results):
+        trial = TrialResult.of(configs[index], result)
+        trials[index] = trial
+        stored = keys[index]
+        if store is not None and stored is not None:
+            store.put(
+                stored,
+                "trial",
+                trial,
+                observer=observer,
+                producer_trace_id=derive_trace_id(
+                    0, simulate_trace_name(demand.name, result.name)
+                ),
+            )
+    return trials  # type: ignore[return-value]
+
+
 def cached_trial(
     config: CaasperConfig,
     demand: CpuTrace,
@@ -86,33 +140,4 @@ def cached_trial(
     store: "ResultStore | None" = None,
 ) -> "TrialResult":
     """One tuning trial (fresh CaaSPER recommender) through the store."""
-    from ..core.recommender import CaasperRecommender
-    from ..tuning.search import TrialResult
-
-    if store is not None:
-        key = trial_key(config, demand, simulator)
-        hit = store.get(key, "trial", observer=observer)
-        if hit is not None:
-            return hit  # type: ignore[no-any-return]
-    else:
-        key = None
-    recommender = CaasperRecommender(config, keep_decisions=False)
-    result = simulate_trace(demand, recommender, simulator, observer)
-    metrics = result.metrics
-    trial = TrialResult(
-        config=config,
-        total_slack=metrics.total_slack,
-        total_insufficient_cpu=metrics.total_insufficient_cpu,
-        num_scalings=metrics.num_scalings,
-    )
-    if store is not None and key is not None:
-        store.put(
-            key,
-            "trial",
-            trial,
-            observer=observer,
-            producer_trace_id=derive_trace_id(
-                0, simulate_trace_name(demand.name, recommender.name)
-            ),
-        )
-    return trial
+    return cached_trials([config], demand, simulator, observer, store)[0]

@@ -15,11 +15,11 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from ..core.config import CaasperConfig
 from ..errors import ConfigError, TuningError
 from ..sim.simulator import SimulatorConfig
+from ..store.memo import cached_trials
 from ..trace import CpuTrace
 from .search import RandomSearch, SearchOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.batch import BatchEngine
     from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
@@ -86,19 +86,16 @@ class GridSearch:
         self,
         executor: "FleetRunner | None" = None,
         store: "ResultStore | None" = None,
-        engine: "BatchEngine | None" = None,
     ) -> SearchOutcome:
         """Evaluate every grid point (deterministic, no seed needed).
 
-        With an ``executor`` (a :class:`~repro.fleet.runner.FleetRunner`)
-        the grid points shard across worker processes; the outcome is
-        bit-identical to the serial run. A ``store`` memoises grid
+        The grid points run as one
+        :func:`~repro.sim.dispatch.simulate_many` batch; with an
+        ``executor`` (a :class:`~repro.fleet.runner.FleetRunner`) they
+        shard across worker processes instead. Both are bit-identical
+        to one scalar simulation per point. A ``store`` memoises grid
         points across invocations — re-running a grid that overlaps a
-        previous one only simulates the new cells. An ``engine`` (a
-        :class:`~repro.engine.batch.BatchEngine`) steps every grid
-        point as one vectorized batch — byte-identical again, and
-        composable with ``store``; ``executor`` wins when both are
-        given.
+        previous one only simulates the new cells.
         """
         if executor is not None:
             from .search import _trial_outcome
@@ -111,19 +108,13 @@ class GridSearch:
                 prefix="grid",
                 store=store,
             )
-        if engine is not None:
-            from .search import _engine_outcome
-
-            return _engine_outcome(
-                self.configs,
-                self._driver.simulator_config,
-                self._driver.demand,
-                engine,
-                store=store,
-            )
         return SearchOutcome(
             trials=tuple(
-                self._driver.evaluate(config, store=store)
-                for config in self.configs
+                cached_trials(
+                    self.configs,
+                    self._driver.demand,
+                    self._driver.simulator_config,
+                    store=store,
+                )
             )
         )

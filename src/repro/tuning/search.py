@@ -18,16 +18,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.config import CaasperConfig
-from ..core.recommender import CaasperRecommender
 from ..errors import TuningError
-from ..sim.simulator import SimulatorConfig, simulate_trace
+from ..sim.results import SimulationResult
+from ..sim.simulator import SimulatorConfig
+from ..store.memo import cached_trial, cached_trials
 from ..trace import CpuTrace
 from .objective import sample_alphas
 from .pareto import pareto_frontier
 from .space import ParameterSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.batch import BatchEngine
     from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
@@ -79,69 +79,6 @@ def _trial_outcome(
     return SearchOutcome(trials=tuple(trials))
 
 
-def _engine_outcome(
-    configs: list[CaasperConfig],
-    simulator_config: SimulatorConfig,
-    demand: CpuTrace,
-    engine: "BatchEngine",
-    store: "ResultStore | None" = None,
-) -> SearchOutcome:
-    """Step every trial config as lanes of one engine batch, in order.
-
-    Shared by the random and grid drivers. Replicates
-    :func:`~repro.store.memo.cached_trial`'s store protocol around the
-    batch — previously evaluated (config, demand, simulator) triples
-    decode under the same ``trial`` key instead of simulating, and
-    fresh trials are written back for the scalar paths to hit later.
-    """
-    from ..engine.jobs import EngineJob
-
-    trials: list[TrialResult | None] = [None] * len(configs)
-    jobs: list[EngineJob] = []
-    slots: list[int] = []
-    keys: list[object] = [None] * len(configs)
-    if store is not None:
-        from ..store.keys import trial_key
-
-        for index, config in enumerate(configs):
-            keys[index] = trial_key(config, demand, simulator_config)
-            hit = store.get(keys[index], "trial")
-            if hit is not None:
-                trials[index] = hit
-                continue
-            jobs.append(EngineJob.from_config(demand, config, simulator_config))
-            slots.append(index)
-    else:
-        for index, config in enumerate(configs):
-            jobs.append(EngineJob.from_config(demand, config, simulator_config))
-            slots.append(index)
-
-    # No store handed to the engine: trials memoise as ``trial`` blobs
-    # (K, C, N + config), not full ``simulate`` results.
-    results = engine.run(jobs)
-    for job, slot, result in zip(jobs, slots, results):
-        metrics = result.metrics
-        trial = TrialResult(
-            config=configs[slot],
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
-        trials[slot] = trial
-        if store is not None:
-            from ..obs.tracing import derive_trace_id, simulate_trace_name
-
-            store.put(
-                keys[slot],
-                "trial",
-                trial,
-                producer_trace_id=derive_trace_id(
-                    0, simulate_trace_name(demand.name, job.name)
-                ),
-            )
-    return SearchOutcome(trials=tuple(trials))  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class TrialResult:
     """One evaluated parameter combination.
@@ -158,6 +95,17 @@ class TrialResult:
     total_slack: float
     total_insufficient_cpu: float
     num_scalings: int
+
+    @classmethod
+    def of(cls, config: CaasperConfig, result: SimulationResult) -> "TrialResult":
+        """The trial ``(K, C, N)`` of one simulated run of ``config``."""
+        metrics = result.metrics
+        return cls(
+            config=config,
+            total_slack=metrics.total_slack,
+            total_insufficient_cpu=metrics.total_insufficient_cpu,
+            num_scalings=metrics.num_scalings,
+        )
 
     @property
     def is_proactive(self) -> bool:
@@ -243,21 +191,7 @@ class RandomSearch:
         (config, demand, simulator) triple decodes byte-identically
         instead of re-simulating.
         """
-        if store is not None:
-            from ..store.memo import cached_trial
-
-            return cached_trial(
-                config, self.demand, self.simulator_config, store=store
-            )
-        recommender = CaasperRecommender(config, keep_decisions=False)
-        result = simulate_trace(self.demand, recommender, self.simulator_config)
-        metrics = result.metrics
-        return TrialResult(
-            config=config,
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
+        return cached_trial(config, self.demand, self.simulator_config, store=store)
 
     def run(
         self,
@@ -265,20 +199,17 @@ class RandomSearch:
         seed: int = 0,
         executor: "FleetRunner | None" = None,
         store: "ResultStore | None" = None,
-        engine: "BatchEngine | None" = None,
     ) -> SearchOutcome:
         """Evaluate ``trials`` sampled configurations (deterministic).
 
-        With an ``executor`` (a :class:`~repro.fleet.runner.FleetRunner`)
-        the trials shard across worker processes; the outcome is
-        bit-identical to the serial run for any worker count. A
-        ``store`` memoises trials across invocations (and, with an
-        executor, short-circuits cached trials before dispatch). An
-        ``engine`` (a :class:`~repro.engine.batch.BatchEngine`) steps
-        every sampled config as one vectorized batch over the shared
-        demand trace — again byte-identical — and composes with
-        ``store`` under the same ``trial`` keys; ``executor`` wins when
-        both are given.
+        The trials run as one :func:`~repro.sim.dispatch.simulate_many`
+        batch over the shared demand trace, byte-identical to one
+        scalar simulation each. With an ``executor`` (a
+        :class:`~repro.fleet.runner.FleetRunner`) they shard across
+        worker processes instead; the outcome is bit-identical for any
+        worker count. A ``store`` memoises trials across invocations
+        under their ``trial`` keys (and, with an executor,
+        short-circuits cached trials before dispatch).
         """
         if trials < 1:
             raise TuningError(f"trials must be >= 1, got {trials}")
@@ -292,16 +223,12 @@ class RandomSearch:
                 prefix="trial",
                 store=store,
             )
-        if engine is not None:
-            return _engine_outcome(
-                list(configs),
-                self.simulator_config,
-                self.demand,
-                engine,
-                store=store,
-            )
         return SearchOutcome(
-            trials=tuple(self.evaluate(config, store=store) for config in configs)
+            trials=tuple(
+                cached_trials(
+                    configs, self.demand, self.simulator_config, store=store
+                )
+            )
         )
 
     def tuned_config(

@@ -4,14 +4,22 @@ test_engine_parity.py owns the randomized byte-identity property; this
 file covers everything around it — degenerate batches, the numpy-floor
 guard, certification fallbacks, engine/scalar store interop, the
 batch-level observability event, and parity at each integration seam
-(sweep, tuning, fleet, capacity).
+(sweep, tuning, fleet, capacity), and the ``simulate_many`` dispatch
+every batch entry point goes through: byte-identity in input order for a
+batch mixing every routing case, the ``CAASPER_ENGINE`` oracle switch,
+and store entries shared between the engine and the oracle.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.engine as engine_pkg
 import repro.engine.kernel as kernel
 from repro.baselines import MovingAverageRecommender
@@ -26,17 +34,19 @@ from repro.engine import (
     engine_job_for,
     vectorizable,
 )
+from repro.errors import ConfigError, SimulationError
 from repro.fleet.codec import canonical_json
 from repro.fleet.jobs import FleetPlan, SimulateJob, TrialJob
 from repro.fleet.runner import FleetRunner
 from repro.obs import JsonlSink, Observer, RingBufferSink, read_events
 from repro.obs.events import EngineBatchEvent
-from repro.sim import SimulatorConfig, simulate_trace
+from repro.sim import SimulatorConfig, simulate_many, simulate_trace
 from repro.sim.sweep import SweepConfig, default_recommender_factory, run_sweep
 from repro.store import ResultStore
 from repro.store.keys import simulate_key
+from repro.store.memo import cached_trial
 from repro.trace import CpuTrace
-from repro.tuning import GridSearch, RandomSearch
+from repro.tuning import GridSearch, ParameterSpace, RandomSearch
 
 
 def blob(result) -> bytes:
@@ -100,6 +110,19 @@ class TestEdgeCases:
         results = BatchEngine().run(jobs_for(traces))
         for trace, got in zip(traces, results):
             assert blob(got) == blob(oracle(trace, CONFIG, SIM))
+
+    def test_unfilled_slot_raises_instead_of_shifting(self, monkeypatch):
+        # A batch kernel that drops its last lane must not let the
+        # remaining results slide onto the wrong jobs.
+        import repro.engine.batch as batch
+
+        real = batch._simulate_many
+        monkeypatch.setattr(
+            batch, "_simulate_many", lambda jobs: real(jobs)[:-1]
+        )
+        traces = [bumpy_trace(120, 5 + s, f"slot{s}") for s in range(3)]
+        with pytest.raises(SimulationError, match=r"job 2 \(caasper on slot2\)"):
+            BatchEngine().run(jobs_for(traces))
 
 
 class TestNumpyFloorGuard:
@@ -241,35 +264,68 @@ class TestObservability:
         assert restored == original
 
 
+@pytest.fixture
+def engine_lanes(monkeypatch):
+    """Lanes the vector engine ran, so parity is never vector vs vector."""
+    lanes = []
+    original = BatchEngine.run
+
+    def spy(self, jobs, store=None):
+        jobs = list(jobs)
+        lanes.extend(jobs)
+        return original(self, jobs, store)
+
+    monkeypatch.setattr(BatchEngine, "run", spy)
+    monkeypatch.delenv("CAASPER_ENGINE", raising=False)
+    return lanes
+
+
+def scalar_oracle(monkeypatch, run):
+    """``run()`` with every trace simulation forced onto simulate_trace."""
+    monkeypatch.setenv("CAASPER_ENGINE", "scalar")
+    try:
+        return run()
+    finally:
+        monkeypatch.delenv("CAASPER_ENGINE")
+
+
 class TestIntegrationSeams:
-    def test_run_sweep_engine_parity(self):
+    def test_run_sweep_engine_parity(self, monkeypatch, engine_lanes):
         traces = [bumpy_trace(300, 30 + s, f"sweep{s}") for s in range(3)]
         config = SweepConfig(min_cores=1)
         factory = default_recommender_factory(CaasperConfig(), config)
-        serial = run_sweep(traces, config, factory)
-        vector = run_sweep(traces, config, factory, engine=BatchEngine())
+        serial = scalar_oracle(
+            monkeypatch, lambda: run_sweep(traces, config, factory)
+        )
+        assert engine_lanes == []
+        vector = run_sweep(traces, config, factory)
+        assert len(engine_lanes) == len(traces)
         assert sorted(serial.results) == sorted(vector.results)
         for name in serial.results:
             assert blob(vector.results[name]) == blob(serial.results[name])
 
-    def test_random_search_engine_parity(self):
+    def test_random_search_engine_parity(self, monkeypatch, engine_lanes):
         search = RandomSearch(bumpy_trace(300, 33, "tune"), SimulatorConfig(4))
-        serial = search.run(12, seed=7)
-        vector = search.run(12, seed=7, engine=BatchEngine())
+        serial = scalar_oracle(monkeypatch, lambda: search.run(12, seed=7))
+        assert engine_lanes == []
+        vector = search.run(12, seed=7)
+        assert len(engine_lanes) == 12
         assert vector.trials == serial.trials
 
-    def test_grid_search_engine_parity(self):
+    def test_grid_search_engine_parity(self, monkeypatch, engine_lanes):
         grid = GridSearch(
             bumpy_trace(300, 34, "grid"),
             SimulatorConfig(4),
             CaasperConfig(),
             {"window_minutes": [20, 40], "quantile": [0.9, 0.95]},
         )
-        serial = grid.run()
-        vector = grid.run(engine=BatchEngine())
+        serial = scalar_oracle(monkeypatch, grid.run)
+        assert engine_lanes == []
+        vector = grid.run()
+        assert len(engine_lanes) == len(grid)
         assert vector.trials == serial.trials
 
-    def test_fleet_runner_engine_parity(self):
+    def test_fleet_runner_engine_parity(self, monkeypatch, engine_lanes):
         traces = [bumpy_trace(240, 35 + s, f"fleet{s}") for s in range(2)]
         plan = FleetPlan(
             jobs=tuple(
@@ -292,10 +348,13 @@ class TestIntegrationSeams:
             ),
             name="engine-seam",
         )
-        serial = FleetRunner().run(plan).require_success().results()
-        vector = (
-            FleetRunner(engine=BatchEngine()).run(plan).require_success().results()
+        serial = scalar_oracle(
+            monkeypatch,
+            lambda: FleetRunner().run(plan).require_success().results(),
         )
+        assert engine_lanes == []
+        vector = FleetRunner().run(plan).require_success().results()
+        assert len(engine_lanes) == len(plan)
         assert sorted(serial) == sorted(vector)
         for i in range(2):
             assert blob(vector[f"sim-{i}"]) == blob(serial[f"sim-{i}"])
@@ -330,3 +389,173 @@ class TestIntegrationSeams:
         # Timing never perturbs the run.
         assert timed_result.canonical_json() == untimed.run().canonical_json()
         assert sum(untimed.phase_seconds.values()) == 0.0
+
+
+NAIVE = CaasperConfig(max_cores=16, proactive=True, seasonal_period_minutes=97)
+HOLT_WINTERS = CaasperConfig(
+    max_cores=16,
+    proactive=True,
+    forecaster="holt_winters",
+    seasonal_period_minutes=97,
+)
+
+
+def mixed_batch():
+    """One job per routing case, each with its own trace."""
+    makers = [
+        lambda: CaasperRecommender(CONFIG, keep_decisions=False),
+        lambda: CaasperRecommender(NAIVE, keep_decisions=False),
+        lambda: CaasperRecommender(HOLT_WINTERS, keep_decisions=False),
+        lambda: MovingAverageRecommender(),
+    ]
+    traces = [bumpy_trace(400, 40 + i, f"mixed{i}") for i in range(len(makers))]
+    return traces, makers
+
+
+class TestSimulateMany:
+    def test_routing_covers_every_case(self):
+        assert vectorizable(CONFIG)
+        assert vectorizable(NAIVE)
+        assert not vectorizable(HOLT_WINTERS)
+
+    def test_byte_identical_to_oracle_in_input_order(self, engine_lanes):
+        traces, makers = mixed_batch()
+        results = simulate_many(
+            [(trace, make(), SIM) for trace, make in zip(traces, makers)]
+        )
+        # The baseline is rejected by engine_job_for; the three CaaSPER
+        # jobs (Holt-Winters included, which the engine runs scalar
+        # itself) go to the engine.
+        assert [lane.demand.name for lane in engine_lanes] == [
+            trace.name for trace in traces[:3]
+        ]
+        assert len(results) == len(traces)
+        for trace, make, got in zip(traces, makers, results):
+            assert blob(got) == blob(simulate_trace(trace, make(), SIM))
+
+    def test_reversed_batch_reverses_results(self, engine_lanes):
+        traces, makers = mixed_batch()
+        jobs = [(trace, make(), SIM) for trace, make in zip(traces, makers)]
+        forward = [blob(r) for r in simulate_many(jobs[::-1])]
+        jobs = [(trace, make(), SIM) for trace, make in zip(traces, makers)]
+        assert forward[::-1] == [blob(r) for r in simulate_many(jobs)]
+
+    def test_scalar_switch_bypasses_the_engine(self, monkeypatch, engine_lanes):
+        traces, makers = mixed_batch()
+        monkeypatch.setenv("CAASPER_ENGINE", "scalar")
+        results = simulate_many(
+            [(trace, make(), SIM) for trace, make in zip(traces, makers)]
+        )
+        assert engine_lanes == []
+        for trace, make, got in zip(traces, makers, results):
+            assert blob(got) == blob(simulate_trace(trace, make(), SIM))
+
+    def test_unknown_switch_value_rejected(self, monkeypatch):
+        monkeypatch.setenv("CAASPER_ENGINE", "vectorised")
+        trace = bumpy_trace(60, 1, "typo")
+        job = (trace, CaasperRecommender(CONFIG, keep_decisions=False), SIM)
+        with pytest.raises(ConfigError, match="CAASPER_ENGINE"):
+            simulate_many([job])
+
+    def test_observed_runs_stay_scalar(self, engine_lanes):
+        trace = bumpy_trace(300, 2, "observed")
+        observer = Observer()
+        [got] = simulate_many(
+            [(trace, CaasperRecommender(CONFIG, keep_decisions=False), SIM)],
+            observer=observer,
+        )
+        assert engine_lanes == []
+        assert observer.events_of_kind("decision")
+        assert blob(got) == blob(
+            simulate_trace(
+                trace, CaasperRecommender(CONFIG, keep_decisions=False), SIM
+            )
+        )
+
+    def test_empty_batch(self, engine_lanes):
+        assert simulate_many([]) == []
+        assert engine_lanes == []
+
+
+class TestDispatchStoreInterop:
+    def search(self):
+        space = ParameterSpace(
+            base=CaasperConfig(max_cores=16, seasonal_period_minutes=97),
+            include_proactive=True,
+        )
+        return RandomSearch(bumpy_trace(400, 50, "tune"), SIM, space)
+
+    def test_engine_search_hits_scalar_trial_entries(
+        self, monkeypatch, tmp_path, engine_lanes
+    ):
+        search = self.search()
+        configs = search.space.sample_many(8, seed=3)
+        store = ResultStore(tmp_path / "cas")
+        monkeypatch.setenv("CAASPER_ENGINE", "scalar")
+        scalar = [
+            cached_trial(config, search.demand, SIM, store=store)
+            for config in configs
+        ]
+        monkeypatch.delenv("CAASPER_ENGINE")
+        hits = store.stats.hits
+        outcome = search.run(8, seed=3, store=store)
+        assert store.stats.hits - hits == len(configs)
+        assert engine_lanes == []
+        assert list(outcome.trials) == scalar
+
+    def test_scalar_trial_hits_engine_written_entries(
+        self, monkeypatch, tmp_path, engine_lanes
+    ):
+        search = self.search()
+        store = ResultStore(tmp_path / "cas")
+        outcome = search.run(8, seed=4, store=store)
+        assert len(engine_lanes) == 8
+        monkeypatch.setenv("CAASPER_ENGINE", "scalar")
+        hits = store.stats.hits
+        for trial in outcome.trials:
+            assert cached_trial(trial.config, search.demand, SIM, store=store) == trial
+        assert store.stats.hits - hits == len(outcome.trials)
+
+    def test_simulate_entries_shared_both_ways(
+        self, monkeypatch, tmp_path, engine_lanes
+    ):
+        traces = [bumpy_trace(240, 60 + i, f"sim{i}") for i in range(4)]
+
+        def jobs(selected):
+            return [
+                (trace, CaasperRecommender(CONFIG, keep_decisions=False), SIM)
+                for trace in selected
+            ]
+
+        store = ResultStore(tmp_path / "cas")
+        engine_written = simulate_many(jobs(traces[:2]), store=store)
+        monkeypatch.setenv("CAASPER_ENGINE", "scalar")
+        scalar_written = simulate_many(jobs(traces[2:]), store=store)
+        hits = store.stats.hits
+        scalar_read = simulate_many(jobs(traces), store=store)
+        assert store.stats.hits - hits == len(traces)
+        monkeypatch.delenv("CAASPER_ENGINE")
+        lanes_before = len(engine_lanes)
+        engine_read = simulate_many(jobs(traces), store=store)
+        assert store.stats.hits - hits == 2 * len(traces)
+        # Every lane the engine saw was a store hit: nothing re-simulated.
+        assert len(engine_lanes) - lanes_before == len(traces)
+        written = [blob(r) for r in engine_written + scalar_written]
+        assert [blob(r) for r in scalar_read] == written
+        assert [blob(r) for r in engine_read] == written
+
+
+class TestLazyImports:
+    def test_imports_leave_scipy_stats_and_engine_unloaded(self):
+        # scipy.stats costs about a second at import; only the paired t-test
+        # needs it, so importing the package must not load it.
+        code = (
+            "import sys\n"
+            "import repro, repro.capacity, repro.serve\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+            "assert 'repro.engine' not in sys.modules, 'engine imported eagerly'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
