@@ -91,8 +91,11 @@ def replay(telemetry: WorkerTelemetry, parent: Observer) -> int:
     combine) and span aggregates fold into the parent collector under
     their worker-side names.
     """
+    # Worker events arrive stamped and counted (their metrics merge
+    # below), so they go straight to the sinks rather than through
+    # ``Observer.emit``, which would restamp and count them again.
     for payload in telemetry.events:
-        parent.emit(event_from_dict(dict(payload)))
+        parent.bus.emit(event_from_dict(dict(payload)))
     if telemetry.metrics is not None:
         parent.metrics.merge(telemetry.metrics)
     for name, count, total, self_s, min_s, max_s in telemetry.spans:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .events import ObsEvent
+from .events import ObsEvent, RetryEvent
 
 __all__ = [
     "derive_trace_id",
@@ -127,6 +127,35 @@ class Tracer:
     def span_id(self, kind: str, minute: int, discriminator: str = "") -> str:
         """Span id for an event of ``kind`` at ``minute`` in this trace."""
         return span_id_for(self.trace_id, kind, minute, discriminator)
+
+    def link(
+        self, event: ObsEvent, cause_minute: int | None = None
+    ) -> tuple[str, str]:
+        """``(span_id, parent_span_id)`` for ``event`` in this trace.
+
+        The span is keyed by the event's kind, minute and
+        :attr:`~repro.obs.events.ObsEvent.span_key` fields. The parent
+        is the decision at ``cause_minute`` (default: the event's
+        :attr:`~repro.obs.events.ObsEvent.caused_by` field), or the
+        successful retry that enacted it; without a cause it is the run
+        root. A retry always answers to its decision directly, and a
+        successful one is remembered as the cause of its enactment.
+        """
+        discriminator = ":".join(
+            [str(getattr(event, name)) for name in event.span_key]
+        )
+        span_id = self.span_id(event.kind, event.minute, discriminator)
+        if cause_minute is None and event.caused_by is not None:
+            cause_minute = getattr(event, event.caused_by)
+        if cause_minute is None:
+            return span_id, self.root_span_id
+        if isinstance(event, RetryEvent):
+            if event.outcome == "succeeded":
+                self.retry_success_minutes.add(event.minute)
+            return span_id, self.span_id("decision", cause_minute)
+        if cause_minute in self.retry_success_minutes:
+            return span_id, self.span_id("retry", cause_minute, "succeeded")
+        return span_id, self.span_id("decision", cause_minute)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracer(name={self.name!r}, seed={self.seed}, id={self.trace_id})"

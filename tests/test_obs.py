@@ -392,14 +392,16 @@ class TestObserverHelpers:
         for minute in range(40):
             recommender.observe(minute, 2.9, 3)
         recommender.recommend(40, 3)
-        event = observer.decision(
-            minute=40,
-            recommender=recommender.name,
-            current_cores=3,
-            raw_target_cores=6,
-            target_cores=5,
-            derivation=recommender.last_decision,
-            window_stats=recommender.window_stats(),
+        event = observer.emit(
+            DecisionEvent.from_derivation(
+                minute=40,
+                recommender=recommender.name,
+                current_cores=3,
+                raw_target_cores=6,
+                target_cores=5,
+                derivation=recommender.last_decision,
+                window_stats=recommender.window_stats(),
+            )
         )
         assert event.branch == recommender.last_decision.branch
         assert event.slope == recommender.last_decision.slope
@@ -408,12 +410,14 @@ class TestObserverHelpers:
 
     def test_opaque_decision_has_null_derivation(self):
         observer = Observer()
-        event = observer.decision(
-            minute=10,
-            recommender="fixed",
-            current_cores=4,
-            raw_target_cores=4,
-            target_cores=4,
+        event = observer.emit(
+            DecisionEvent.from_derivation(
+                minute=10,
+                recommender="fixed",
+                current_cores=4,
+                raw_target_cores=4,
+                target_cores=4,
+            )
         )
         assert event.branch == "opaque"
         assert event.slope is None
