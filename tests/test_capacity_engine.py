@@ -1,10 +1,14 @@
 """End-to-end tests for the cluster capacity engine and its scenarios."""
 
+import dataclasses
+
 import pytest
 
 from repro.capacity import make_capacity_scenario, run_capacity
 from repro.capacity.engine import ClusterEngine
 from repro.cluster.pod import PodPhase
+from repro.core.config import CaasperConfig
+from repro.core.recommender import CaasperRecommender
 from repro.errors import ConfigError
 from repro.obs import Observer
 
@@ -174,3 +178,36 @@ class TestObservability:
             if episode.cause is not None
         }
         assert causes & {"node_contention", "fault_injected", "resize"}
+
+    def test_guardrail_clamp_is_recorded_on_the_decision(self):
+        """A recommendation above the pod's ``max_cores`` is enacted at
+        the ceiling, and its decision event keeps the raw target."""
+
+        class WideCeilingEngine(ClusterEngine):
+            def _build(self) -> None:
+                super()._build()
+                for state in self.tenants:
+                    state.recommender = CaasperRecommender(
+                        CaasperConfig(c_min=state.spec.min_cores, max_cores=64),
+                        keep_decisions=False,
+                    )
+
+        scenario = make_capacity_scenario("hotspot-node", seed=3)
+        scenario = dataclasses.replace(
+            scenario,
+            tenants=tuple(
+                dataclasses.replace(tenant, max_cores=3)
+                for tenant in scenario.tenants
+            ),
+        )
+        observer = Observer()
+        WideCeilingEngine(scenario, observer=observer).run()
+        decisions = observer.decisions()
+        clamped = [event for event in decisions if event.clamped]
+        assert clamped
+        for event in clamped:
+            assert event.raw_target_cores > event.target_cores == 3
+        assert all(
+            event.clamped == (event.raw_target_cores != event.target_cores)
+            for event in decisions
+        )
