@@ -46,7 +46,6 @@ from ..sim.simulator import simulate_trace
 from .jobs import EngineJob
 from .kernel import (
     LaneParams,
-    axis_reductions_certified,
     decide_batch,
     decide_lane,
     replications_certified,
@@ -232,9 +231,8 @@ class BatchEngine:
                 job.simulator,
             )
 
-        if len(vector) == 1 or (vector and not axis_reductions_certified()):
-            for index in vector:
-                results[index] = _simulate_lane(jobs[index])
+        if len(vector) == 1:
+            results[vector[0]] = _simulate_lane(jobs[vector[0]])
         elif vector:
             batch = _simulate_many([jobs[i] for i in vector])
             for index, result in zip(vector, batch):

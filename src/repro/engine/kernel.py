@@ -150,8 +150,33 @@ def decide_batch(
     np.ndarray
         Post-guardrail target cores per lane (int64), bit-for-bit equal
         to ``ReactivePolicy.decide(...).target_cores`` per lane.
+
+    On a build whose axis reductions failed certification, every row
+    is decided on its own through :func:`decide_lane` instead.
     """
     lanes, n = window.shape
+    if not _AXIS_OK:
+        ks = np.arange(1, max_cores + 1)
+        lane_args = zip(
+            window,
+            cur.tolist(),
+            params.s_high.tolist(),
+            params.s_low.tolist(),
+            params.m_high.tolist(),
+            params.m_low.tolist(),
+            params.sf_max_up.tolist(),
+            params.sf_max_down.tolist(),
+            params.c_min.tolist(),
+            params.scale_down_headroom.tolist(),
+            params.rounding.tolist(),
+        )
+        return np.array(
+            [
+                decide_lane(*row, max_cores, slope_scale, quantile, ks, fast=fast)
+                for row in lane_args
+            ],
+            dtype=np.int64,
+        )
     rows = np.arange(lanes)
     cur_f = cur.astype(float)
 

@@ -13,6 +13,8 @@ scalar loop), goes through the scalar oracle
 
 Setting ``CAASPER_ENGINE=scalar`` sends every job to the oracle — the
 switch differential checks and ``caasper sweep --engine scalar`` use.
+:func:`engine_enabled` is the only reader of that switch; the capacity
+engine's per-tenant decisions follow it too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.observer import Observer
     from ..store.cas import ResultStore
 
-__all__ = ["ENGINE_ENV", "TraceJob", "simulate_many"]
+__all__ = ["ENGINE_ENV", "TraceJob", "engine_enabled", "simulate_many"]
 
 #: Environment switch: ``scalar`` forces the oracle, ``vector`` (or
 #: unset) lets eligible jobs run on the engine.
@@ -41,7 +43,8 @@ ENGINE_ENV = "CAASPER_ENGINE"
 TraceJob = tuple[CpuTrace, Recommender, SimulatorConfig]
 
 
-def _engine_enabled() -> bool:
+def engine_enabled() -> bool:
+    """False when ``CAASPER_ENGINE=scalar`` forces the scalar oracle."""
     choice = os.environ.get(ENGINE_ENV, "vector")
     if choice not in ("scalar", "vector"):
         raise ConfigError(
@@ -69,7 +72,7 @@ def simulate_many(
     """
     jobs = list(jobs)
     results: list[SimulationResult | None] = [None] * len(jobs)
-    if observer is None and _engine_enabled():
+    if observer is None and engine_enabled():
         from ..engine import BatchEngine, engine_job_for
 
         slots: list[int] = []
