@@ -1,15 +1,11 @@
 """Evaluation utilities: statistics, clustering, tables and ASCII plots."""
 
-from .explain import branch_summary, decision_log, explain_decisions
 from .kmeans import KMeansResult, kmeans, select_representatives, trace_features
 from .stats import PairedTTestResult, paired_ttest
 from .tables import format_table, metrics_table
 from .plots import render_scatter, render_series
 
 __all__ = [
-    "explain_decisions",
-    "decision_log",
-    "branch_summary",
     "paired_ttest",
     "PairedTTestResult",
     "kmeans",

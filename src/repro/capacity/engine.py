@@ -599,7 +599,7 @@ def _raw_targets(minute: int, due: list[_TenantState]) -> list[int]:
             int(state.recommender.recommend(minute, state.limit_cores))
             for state in due
         ]
-    from ..engine.kernel import LaneParams, decide_batch, replications_certified
+    from ..engine.kernel import LaneParams, decide_batch
 
     windows = [state.recommender.usage_window() for state in due]
     groups: dict[tuple[int, int, float, float], list[int]] = {}
@@ -608,7 +608,6 @@ def _raw_targets(minute: int, due: list[_TenantState]) -> list[int]:
         key = (config.max_cores, window.size, config.slope_scale, config.quantile)
         groups.setdefault(key, []).append(position)
     targets = [0] * len(due)
-    fast = replications_certified()
     for (max_cores, _n, slope_scale, quantile), members in groups.items():
         out = decide_batch(
             np.stack([windows[position] for position in members]),
@@ -622,7 +621,6 @@ def _raw_targets(minute: int, due: list[_TenantState]) -> list[int]:
             max_cores,
             slope_scale,
             quantile,
-            fast=fast,
         )
         for position, target in zip(members, out.tolist()):
             targets[position] = target

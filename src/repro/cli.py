@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         metavar="N",
-        help="audit-log entries to print (0 suppresses the log)",
+        help="most recent resizing decisions to list in the audit "
+        "(0 suppresses the audit)",
     )
     obs_parser.add_argument(
         "--proactive",
@@ -747,10 +748,10 @@ def _run_trace_report(args: argparse.Namespace) -> int:
 
 def _run_obs(args: argparse.Namespace) -> int:
     """Replay one paper trace with full telemetry and summarise it."""
-    from .analysis.explain import explain_trace
     from .core.config import CaasperConfig
     from .core.recommender import CaasperRecommender
     from .obs import JsonlSink, Observer
+    from .report import build_run_report, render_text
     from .sim.sweep import SweepConfig
 
     trace = paper_trace(args.trace)
@@ -791,8 +792,12 @@ def _run_obs(args: argparse.Namespace) -> int:
     if args.jsonl:
         print(f"wrote {sinks[0].events_written} events to {args.jsonl}")
     if args.decisions:
+        # The ring holds the whole run: a paper trace emits well under
+        # its 4096 events, starting with the run's trace_started.
+        events = observer.ring.events
+        report = build_run_report(events, events[0].trace_id)
         print()
-        print(explain_trace(observer, limit=args.decisions))
+        print(render_text(report, decisions=args.decisions))
     if args.metrics_text:
         print()
         print(observer.metrics.render_text(), end="")

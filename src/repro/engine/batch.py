@@ -48,7 +48,6 @@ from .kernel import (
     LaneParams,
     decide_batch,
     decide_lane,
-    replications_certified,
     rounding_code,
 )
 
@@ -298,7 +297,6 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
     delay = sim.resize_delay_minutes
     max_cores = config.max_cores
     ks = np.arange(1, max_cores + 1)
-    fast = replications_certified()
     rounding = rounding_code(config.rounding.value)
     if config.proactive:
         period = config.seasonal_period_minutes
@@ -374,7 +372,6 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
                     slope_scale=config.slope_scale,
                     quantile=config.quantile,
                     ks=ks,
-                    fast=fast,
                 )
                 if target < 1:
                     raise SimulationError(
@@ -563,7 +560,6 @@ def _decide_cohorts(
             cohort.max_cores,
             cohort.slope_scale,
             cohort.quantile,
-            fast=replications_certified(),
         )
         if (targets < 1).any():
             bad = int(targets[targets < 1][0])

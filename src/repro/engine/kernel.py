@@ -125,7 +125,6 @@ def decide_batch(
     max_cores: int,
     slope_scale: float,
     quantile: float,
-    fast: bool = True,
 ) -> np.ndarray:
     """Algorithm 1 for every row of ``window`` at once.
 
@@ -140,10 +139,6 @@ def decide_batch(
         Per-lane thresholds, already gathered down to these lanes.
     max_cores, slope_scale, quantile:
         Cohort-uniform curve parameters.
-    fast:
-        Use the certified manual quantile lerp over a sorted window
-        instead of ``np.quantile``; pass
-        ``replications_certified()`` here.
 
     Returns
     -------
@@ -152,7 +147,8 @@ def decide_batch(
         to ``ReactivePolicy.decide(...).target_cores`` per lane.
 
     On a build whose axis reductions failed certification, every row
-    is decided on its own through :func:`decide_lane` instead.
+    is decided on its own through :func:`decide_lane` instead; on one
+    whose replications failed, the quantile is ``np.quantile``'s own.
     """
     lanes, n = window.shape
     if not _AXIS_OK:
@@ -172,7 +168,7 @@ def decide_batch(
         )
         return np.array(
             [
-                decide_lane(*row, max_cores, slope_scale, quantile, ks, fast=fast)
+                decide_lane(*row, max_cores, slope_scale, quantile, ks)
                 for row in lane_args
             ],
             dtype=np.int64,
@@ -204,7 +200,7 @@ def decide_batch(
     slope = np.where(above_curve, 0.0, slopes[rows, cur_idx])
     perf_at_cur = perf[rows, cur_idx]
 
-    if fast:
+    if _REPLICA_OK:
         # np.quantile's linear method, vectorized over the sorted rows,
         # including its gamma >= 0.5 rewrite (certified at import).
         sw = np.sort(window, axis=1)
@@ -311,15 +307,14 @@ def decide_lane(
     slope_scale: float,
     quantile: float,
     ks: np.ndarray,
-    fast: bool = True,
 ) -> int:
     """Algorithm 1 for one lane, tuned for per-decision latency.
 
-    ``fast=True`` (the default when :func:`certify` passed) swaps the
-    oracle's mean/std/skew/quantile reductions for certified bit-equal
-    replications built on ``np.add.reduce`` and a manual linear
-    interpolation over the already-sorted window. ``fast=False`` runs
-    the oracle's own numpy calls — always exact, roughly 2× slower.
+    When :func:`certify` passed, the oracle's mean/std/skew/quantile
+    reductions are swapped for certified bit-equal replications built
+    on ``np.add.reduce`` and a manual linear interpolation over the
+    already-sorted window. Otherwise the lane runs the oracle's own
+    numpy calls — always exact, roughly 2× slower.
     """
     n = window.size
     sw = np.sort(window)
@@ -331,7 +326,7 @@ def decide_lane(
     padded[max_cores] = 1.0
     slopes = (padded[1:] - padded[:max_cores]) * slope_scale
 
-    if fast:
+    if _REPLICA_OK:
         mean = np.add.reduce(slopes) / float(max_cores)
         centered = slopes - mean
         sq = centered * centered

@@ -355,21 +355,6 @@ class DecisionEvent(ObsEvent):
             **derived,
         )
 
-    @property
-    def delta(self) -> int:
-        """``target_cores − current_cores`` after guardrails."""
-        return self.target_cores - self.current_cores
-
-    @property
-    def is_scaling(self) -> bool:
-        """True when the (clamped) decision changes the allocation."""
-        return self.delta != 0
-
-    @property
-    def raw_scaling_factor(self) -> float | None:
-        """Alias matching :class:`~repro.core.reactive.ReactiveDecision`."""
-        return self.scaling_factor
-
 
 @dataclass(frozen=True)
 class ResizeEvent(ObsEvent):

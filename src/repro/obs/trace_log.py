@@ -7,9 +7,8 @@ completed line readable), greppable, and trivially ingestible by
 external tooling.
 
 Round-trip guarantee: ``read_events(path)`` reconstructs the exact typed
-events a :class:`JsonlSink` recorded, so offline analysis
-(:mod:`repro.analysis.explain`, :mod:`repro.report`) renders the same
-audit log as a live ring buffer would.
+events a :class:`JsonlSink` recorded, so :mod:`repro.report` renders
+the same audit from a log as from a live ring buffer.
 
 Forward compatibility: the event vocabulary grows over time, so a log
 written by a newer build may contain kinds this build does not know.
@@ -25,9 +24,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
-from .events import DecisionEvent, ObsEvent, event_from_dict
+from .events import ObsEvent, event_from_dict
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -36,7 +35,6 @@ __all__ = [
     "load_trace",
     "read_events",
     "iter_events",
-    "decision_events",
 ]
 
 #: Version of the JSONL event-record schema. v1 records had neither
@@ -150,8 +148,3 @@ def iter_events(
 def read_events(path: str | Path) -> list[ObsEvent]:
     """Load a full JSONL trace as typed events (unknown kinds skipped)."""
     return list(iter_events(path))
-
-
-def decision_events(events: Iterable[ObsEvent]) -> list[DecisionEvent]:
-    """Filter an event stream down to the recommender consultations."""
-    return [event for event in events if isinstance(event, DecisionEvent)]

@@ -132,7 +132,12 @@ class ThrottleEpisode:
 
 @dataclass
 class DecisionRecord:
-    """One consultation and everything causally downstream of it."""
+    """One consultation and everything causally downstream of it.
+
+    ``slope``, ``skew``, ``scaling_factor`` and ``usage_quantile`` are
+    the Algorithm 1 derivation copied from the decision event; they are
+    ``None`` for opaque recommenders.
+    """
 
     minute: int
     recommender: str
@@ -140,6 +145,10 @@ class DecisionRecord:
     reason: str
     current_cores: int
     target_cores: int
+    slope: float | None = None
+    skew: float | None = None
+    scaling_factor: float | None = None
+    usage_quantile: float | None = None
     enacted_minute: int | None = None
     deferrals: int = 0
     retries: int = 0
@@ -159,6 +168,10 @@ class DecisionRecord:
             "reason": self.reason,
             "current_cores": self.current_cores,
             "target_cores": self.target_cores,
+            "slope": self.slope,
+            "skew": self.skew,
+            "scaling_factor": self.scaling_factor,
+            "usage_quantile": self.usage_quantile,
             "enacted_minute": self.enacted_minute,
             "latency_minutes": self.latency_minutes,
             "deferrals": self.deferrals,
@@ -447,6 +460,10 @@ def _decision_records(
             reason=str(payload.get("reason", "")),
             current_cores=int(payload.get("current_cores", 0)),
             target_cores=int(payload.get("target_cores", 0)),
+            slope=payload.get("slope"),
+            skew=payload.get("skew"),
+            scaling_factor=payload.get("scaling_factor"),
+            usage_quantile=payload.get("usage_quantile"),
             rolled_back=event.span_id in rollback_decision_spans,
         )
         span = graph.spans.get(event.span_id)

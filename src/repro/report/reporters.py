@@ -21,7 +21,12 @@ def _chain_text(episode) -> str:
     return " <- ".join(link.label() for link in episode.chain)
 
 
-def _run_lines(report: RunReport) -> list[str]:
+def _num(value: float | None) -> str:
+    """Two-decimal derivation value; ``-`` for opaque recommenders."""
+    return "-" if value is None else f"{value:.2f}"
+
+
+def _run_lines(report: RunReport, decisions: int | None = None) -> list[str]:
     lines = [
         f"run {report.name or '(unnamed)'} "
         f"(trace {report.trace_id}, seed {report.seed})"
@@ -33,15 +38,31 @@ def _run_lines(report: RunReport) -> list[str]:
     lines.append(f"  events: {counts}")
 
     if report.decisions:
-        lines.append("  decisions:")
-        for record in report.decisions:
+        # Holds are counted in the branch table; only decisions that
+        # changed the allocation are listed.
+        scaling = [
+            record
+            for record in report.decisions
+            if record.current_cores != record.target_cores
+        ]
+        shown = (
+            scaling
+            if decisions is None
+            else scaling[max(len(scaling) - decisions, 0) :]
+        )
+        header = (
+            f"  decisions: {len(scaling)} of {len(report.decisions)} "
+            "changed the allocation"
+        )
+        if len(shown) < len(scaling):
+            header += f", most recent {len(shown)} listed"
+        lines.append(header + (":" if shown else ""))
+        for record in shown:
             if record.enacted_minute is not None:
                 outcome = (
                     f"enacted m{record.enacted_minute} "
                     f"(+{record.latency_minutes} min)"
                 )
-            elif record.current_cores == record.target_cores:
-                outcome = "hold"
             else:
                 outcome = "never enacted"
             extras = []
@@ -56,7 +77,9 @@ def _run_lines(report: RunReport) -> list[str]:
                 f"    m{record.minute:05d} {record.recommender} "
                 f"{record.branch or 'opaque'} "
                 f"{record.current_cores} -> {record.target_cores} cores: "
-                f"{outcome}{suffix}"
+                f"{outcome}{suffix}; slope={_num(record.slope)} "
+                f"skew={_num(record.skew)} SF={_num(record.scaling_factor)} "
+                f"P-usage={_num(record.usage_quantile)}; {record.reason}"
             )
 
     if report.branches:
@@ -98,10 +121,16 @@ def _run_lines(report: RunReport) -> list[str]:
     return lines
 
 
-def render_text(report: RunReport | FleetReport) -> str:
-    """Human-readable diagnostics; one block per run trace."""
+def render_text(
+    report: RunReport | FleetReport, decisions: int | None = None
+) -> str:
+    """Human-readable diagnostics; one block per run trace.
+
+    Each run lists the decisions that changed its allocation, the most
+    recent ``decisions`` of them when given (``None`` lists all).
+    """
     if isinstance(report, RunReport):
-        return "\n".join(_run_lines(report))
+        return "\n".join(_run_lines(report, decisions))
     lines: list[str] = []
     for fleet in report.fleet_traces:
         lines.append(
@@ -112,7 +141,7 @@ def render_text(report: RunReport | FleetReport) -> str:
     for run in report.runs:
         if lines:
             lines.append("")
-        lines.extend(_run_lines(run))
+        lines.extend(_run_lines(run, decisions))
     if report.cache_provenance:
         lines.append("")
         lines.append("cache provenance (reused results):")

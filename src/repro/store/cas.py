@@ -165,7 +165,7 @@ class ResultStore:
         carries the blob's provenance stamp (producing run's trace id
         and store epoch) so cached results stay attributable.
         """
-        from ..fleet.codec import decode_json
+        from ..fleet.codec import decode, decode_json
 
         observer = observer if observer is not None else self.observer
         cached = self._memory.get(key)
@@ -185,7 +185,7 @@ class ResultStore:
                     )
                 )
             return None
-        payload_text, provenance = read
+        payload, payload_text, provenance = read
         if payload_text == "":
             self._stats_misses += 1
             if observer is not None:
@@ -199,7 +199,7 @@ class ResultStore:
         self._stats_hits += 1
         if observer is not None:
             self._emit_hit(observer, key, kind, "disk", provenance)
-        return decode_json(payload_text)
+        return decode(payload)
 
     @staticmethod
     def _emit_hit(
@@ -220,11 +220,13 @@ class ResultStore:
             )
         )
 
-    def _read_blob(self, key: str) -> tuple[str, dict[str, Any]] | None:
-        """``(canonical payload text, provenance stamp)`` for ``key``.
+    def _read_blob(self, key: str) -> tuple[Any, str, dict[str, Any]] | None:
+        """``(payload, canonical payload text, provenance)`` for ``key``.
 
-        ``None`` means absent; ``("", {})`` means present-but-corrupt
-        (the damaged blob has been unlinked best effort). Blobs written
+        The payload is the parsed (still encoded) object, so a disk hit
+        decodes it without parsing the text again. ``None`` means
+        absent; ``(None, "", {})`` means present-but-corrupt (the
+        damaged blob has been unlinked best effort). Blobs written
         before provenance stamping read back with an empty stamp.
         """
         path = self._blob_path(key)
@@ -233,12 +235,13 @@ class ResultStore:
         except FileNotFoundError:
             return None
         except OSError:  # lint: disable=EXC001 - unreadable blob is a miss
-            return ("", {})
+            return (None, "", {})
         provenance: dict[str, Any] = {}
         try:
             blob = json.loads(data.decode("utf-8"))
+            payload = blob["payload"]
             payload_text = json.dumps(
-                blob["payload"], sort_keys=True, separators=(",", ":")
+                payload, sort_keys=True, separators=(",", ":")
             )
             ok = (
                 blob.get("epoch") == STORE_EPOCH
@@ -256,8 +259,8 @@ class ResultStore:
                 path.unlink()
             except OSError:  # lint: disable=EXC001 - racing unlink is fine
                 pass
-            return ("", {})
-        return (payload_text, provenance)
+            return (None, "", {})
+        return (payload, payload_text, provenance)
 
     def _remember(
         self,
@@ -296,15 +299,14 @@ class ResultStore:
         checksummed payload: later ``get`` calls report which run
         computed the bytes they are serving.
         """
-        payload_text = json.dumps(
-            encode(value), sort_keys=True, separators=(",", ":")
-        )
+        payload = encode(value)
+        payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         blob_text = json.dumps(
             {
                 "checksum": sha256(payload_text.encode("utf-8")).hexdigest(),
                 "epoch": STORE_EPOCH,
                 "kind": kind,
-                "payload": json.loads(payload_text),
+                "payload": payload,
                 "provenance": {
                     "epoch": STORE_EPOCH,
                     "key": key,

@@ -8,9 +8,10 @@ grid tuning → preference replay; doppler profile → CaaSPER ceiling.
 import numpy as np
 import pytest
 
-from repro.analysis import explain_decisions
 from repro.core import CaasperConfig, CaasperRecommender
 from repro.doppler import ResourceUsageProfile, SkuCatalog, sku_pvp_curve
+from repro.obs import Observer
+from repro.report import build_run_report, render_text, split_runs
 from repro.sim import SimulatorConfig, SweepConfig, run_sweep, simulate_trace
 from repro.sim.live import LiveSystemConfig, simulate_live
 from repro.cluster.controller import ControlLoopConfig
@@ -62,6 +63,7 @@ class TestLiveRunToAudit:
         recommender = CaasperRecommender(
             CaasperConfig(max_cores=8, c_min=2, quantile=0.90, m_high=0.05)
         )
+        observer = Observer()
         simulate_live(
             TraceWorkload(workday(sigma=0.08)),
             recommender,
@@ -72,12 +74,22 @@ class TestLiveRunToAudit:
                     scaler=ScalerConfig(min_cores=2, max_cores=8),
                 ),
             ),
+            observer=observer,
         )
-        audit = explain_decisions(recommender)
-        assert "decision audit" in audit
-        # The workday run must contain both directions.
+        events = list(observer.ring)
+        (trace_id,) = split_runs(events)
+        report = build_run_report(events, trace_id)
+        audit = render_text(report)
+        assert report.name.startswith("live:")
+        assert "changed the allocation:" in audit
+        # The workday run must resize in both directions, each listed
+        # with its derivation.
+        resizes = [r for r in report.decisions if r.target_cores != r.current_cores]
+        assert any(r.target_cores > r.current_cores for r in resizes)
+        assert any(r.target_cores < r.current_cores for r in resizes)
         assert "scale_up" in audit
         assert "walk_down" in audit or "scale_down" in audit
+        assert "slope=" in audit and "SF=" in audit
 
 
 class TestGridToReplay:

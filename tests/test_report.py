@@ -13,11 +13,12 @@ import json
 
 import pytest
 
+from repro.baselines import AutopilotRecommender
 from repro.core.config import CaasperConfig
 from repro.core.recommender import CaasperRecommender
 from repro.faults.scenarios import make_scenario
 from repro.fleet import FleetRunner
-from repro.obs import JsonlSink, Observer
+from repro.obs import JsonlSink, Observer, load_trace
 from repro.obs.events import (
     DecisionEvent,
     ResizeEvent,
@@ -39,6 +40,7 @@ from repro.sim.simulator import SimulatorConfig, simulate_trace
 from repro.sim.sweep import run_sweep
 from repro.trace import CpuTrace
 from repro.workloads.base import TraceWorkload
+from repro.workloads import workday
 from repro.workloads.synthetic import cyclical_days, noisy, square_wave
 
 
@@ -334,9 +336,11 @@ class TestDecisionRecords:
         assert sum(b.resizes for b in report.branches) == sum(
             1 for e in events if e.kind == "resize"
         )
-        assert sum(b.decisions for b in report.branches) == len(
-            report.decisions
-        )
+        consults = sum(1 for e in events if e.kind == "decision")
+        assert len(report.decisions) == consults
+        assert sum(b.decisions for b in report.branches) == consults
+        # Holds are not listed in the text but are counted here.
+        assert any(b.branch == "hold" and b.decisions for b in report.branches)
 
 
 class TestReporters:
@@ -366,6 +370,128 @@ class TestReporters:
         assert len(payload["episodes"]) == len(report.episodes)
         for episode in payload["episodes"]:
             assert episode["attributed"] == (episode["cause"] is not None)
+
+
+def observed_run(recommender, path=None):
+    """Events of one observed ``workday`` run (optionally also to JSONL)."""
+    observer = Observer(sinks=[JsonlSink(path)] if path else [])
+    simulate_trace(
+        workday(),
+        recommender,
+        SimulatorConfig(initial_cores=6, min_cores=2, max_cores=8),
+        observer=observer,
+    )
+    observer.close()
+    events = list(observer.ring)
+    (trace_id,) = split_runs(events)
+    return events, trace_id
+
+
+def caasper_run(path=None):
+    return observed_run(
+        CaasperRecommender(
+            CaasperConfig(max_cores=8, c_min=2), keep_decisions=False
+        ),
+        path,
+    )
+
+
+def decision_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if " cores: " in line]
+
+
+class TestDecisionAudit:
+    """The R6 audit: every resize listed with the derivation behind it."""
+
+    def test_text_lists_only_decisions_that_changed_the_allocation(self):
+        events, trace_id = caasper_run()
+        report = build_run_report(events, trace_id)
+        scaling = [
+            r for r in report.decisions if r.target_cores != r.current_cores
+        ]
+        assert 0 < len(scaling) < len(report.decisions)
+        text = render_text(report)
+        lines = decision_lines(text)
+        assert [line.split()[0] for line in lines] == [
+            f"m{r.minute:05d}" for r in scaling
+        ]
+        assert not any(" hold " in line for line in lines)
+        assert (
+            f"decisions: {len(scaling)} of {len(report.decisions)} "
+            "changed the allocation:"
+        ) in text
+        # JSON keeps every consultation, holds included.
+        payload = json.loads(render_json(report))
+        assert len(payload["decisions"]) == len(report.decisions)
+
+    def test_decisions_caps_the_listing_to_the_most_recent(self):
+        events, trace_id = caasper_run()
+        report = build_run_report(events, trace_id)
+        scaling = [
+            r for r in report.decisions if r.target_cores != r.current_cores
+        ]
+        text = render_text(report, decisions=3)
+        assert [line.split()[0] for line in decision_lines(text)] == [
+            f"m{r.minute:05d}" for r in scaling[-3:]
+        ]
+        assert "most recent 3 listed:" in text
+        assert decision_lines(render_text(report, decisions=0)) == []
+        assert render_text(report, decisions=len(scaling)) == render_text(
+            report
+        )
+
+    def test_derivation_columns_come_from_the_event(self):
+        events, trace_id = caasper_run()
+        report = build_run_report(events, trace_id)
+        by_minute = {e.minute: e for e in events if isinstance(e, DecisionEvent)}
+        for record in report.decisions:
+            event = by_minute[record.minute]
+            assert event.slope is not None
+            assert record.slope == event.slope
+            assert record.skew == event.skew
+            assert record.scaling_factor == event.scaling_factor
+            assert record.usage_quantile == event.usage_quantile
+            assert record.reason == event.reason
+        scaling = [
+            r for r in report.decisions if r.target_cores != r.current_cores
+        ]
+        for record, line in zip(scaling, decision_lines(render_text(report))):
+            assert (
+                f"slope={record.slope:.2f} skew={record.skew:.2f} "
+                f"SF={record.scaling_factor:.2f} "
+                f"P-usage={record.usage_quantile:.2f}; {record.reason}"
+            ) in line
+        for entry in json.loads(render_json(report))["decisions"]:
+            for key in ("slope", "skew", "scaling_factor", "usage_quantile"):
+                assert key in entry
+
+    def test_opaque_recommenders_render_dashes(self):
+        events, trace_id = observed_run(
+            AutopilotRecommender(min_cores=2, max_cores=8, margin=1.05)
+        )
+        report = build_run_report(events, trace_id)
+        assert report.decisions
+        assert all(r.branch == "opaque" for r in report.decisions)
+        assert all(r.slope is None for r in report.decisions)
+        lines = decision_lines(render_text(report))
+        assert lines
+        for line in lines:
+            assert "slope=- skew=- SF=- P-usage=-;" in line
+            assert "autopilot recommended" in line
+
+    def test_run_without_decisions_lists_none(self):
+        report = build_run_report([_root(), _throttled(2)], TID)
+        assert report.decisions == []
+        assert "decisions:" not in render_text(report)
+
+    def test_ring_and_jsonl_render_the_same_audit(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        events, trace_id = caasper_run(path)
+        from_ring = render_text(build_run_report(events, trace_id))
+        from_file = render_text(
+            build_run_report(load_trace(path).events, trace_id)
+        )
+        assert from_ring == from_file
 
 
 def small_traces(count: int = 3, minutes: int = 200) -> list[CpuTrace]:
@@ -456,6 +582,23 @@ class TestReportCli:
         assert payload["total_episodes"] >= 0
         document = json.loads(chrome.read_text())
         assert any(e["ph"] == "X" for e in document["traceEvents"])
+
+    @pytest.mark.parametrize("trace", ["fig10-cyclical", "fig14-c_1"])
+    def test_obs_audit_equals_the_report_over_its_jsonl(
+        self, trace, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "obs.jsonl"
+        args = ["obs", "--trace", trace, "--jsonl", str(path)]
+        assert main(args + ["--decisions", "7"]) == 0
+        printed = capsys.readouterr().out
+        audit = printed.split("\n\n", 1)[1].rstrip("\n")
+        events = load_trace(path).events
+        (trace_id,) = split_runs(events)
+        report = build_run_report(events, trace_id)
+        assert audit == render_text(report, decisions=7)
+        assert len(decision_lines(audit)) == 7
 
     def test_report_tolerates_future_events_with_a_note(
         self, tmp_path, capsys

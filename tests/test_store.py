@@ -9,6 +9,7 @@ evicts oldest-first down to a byte budget.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -16,10 +17,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import StoreError
 from repro.obs import Observer
+from repro.sim.metrics import SimulationMetrics
+from repro.sim.results import ScalingEvent, SimulationResult
 from repro.store import STORE_EPOCH, ResultStore, default_store_root, store_key
 
 
@@ -69,6 +73,44 @@ class TestRoundTrip:
         assert keys[0] not in store._memory  # oldest evicted from LRU
         # ... but still on disk.
         assert store.get(keys[0], "simulate") == {"i": 0}
+
+    def test_blob_bytes_are_pinned(self, store, tmp_path):
+        """The on-disk encoding is a compatibility contract: pin one blob."""
+        value = SimulationResult(
+            name="pinned",
+            demand=np.array([0.1, 1 / 3, 2.5, 1e16, -0.0]),
+            usage=np.array([0.1, 1 / 3, 2.0, 4.0, 0.0]),
+            limits=np.array([4.0, 4.0, 2.0, 4.0, 4.0]),
+            events=(
+                ScalingEvent(
+                    decided_minute=1, enacted_minute=2, from_cores=4, to_cores=2
+                ),
+            ),
+            metrics=SimulationMetrics(
+                total_slack=7.566666666666666,
+                total_insufficient_cpu=0.5,
+                num_scalings=1,
+                minutes=5,
+                throttled_observations=1,
+                price=1e-17,
+            ),
+            detail={"z": [1, 2.25], "a": {"nested": "x", "n": None}},
+        )
+        key = _key("pinned")
+        nbytes = store.put(
+            key, "simulate", value, producer_trace_id="0123456789abcdef"
+        )
+        data = store._blob_path(key).read_bytes()
+        assert nbytes == len(data) == 854
+        assert hashlib.sha256(data).hexdigest() == (
+            "24b442bfa9379d9883750c239f45686e878391047506ef4fbfe67a52567c06d9"
+        )
+        # A disk hit decodes the blob back to the same result.
+        hit = ResultStore(tmp_path / "cas").get(key, "simulate")
+        assert hit.metrics == value.metrics
+        assert hit.events == value.events
+        assert hit.detail == value.detail
+        assert np.array_equal(hit.demand, value.demand)
 
     def test_survives_reopen(self, store, tmp_path):
         key = _key("a")
