@@ -374,6 +374,15 @@ class ClusterEngine:
 
     def run(self) -> CapacityResult:
         self._build()
+        self._vector = engine_enabled()
+        if self._vector:
+            # The kernel's view of every tenant, taken after _build() so
+            # it sees the recommenders the run actually consults.
+            from ..engine.kernel import Curve, LaneParams
+
+            configs = [state.recommender.config for state in self.tenants]
+            self._curves = [Curve.of(config) for config in configs]
+            self._params = LaneParams.from_configs(configs)
         minutes = self.scenario.minutes
         interval = self.config.decision_interval_minutes
         drains = dict(self.scenario.drains)
@@ -485,7 +494,7 @@ class ClusterEngine:
             due.append(state)
         if not due:
             return
-        for state, raw_target in zip(due, _raw_targets(minute, due)):
+        for state, raw_target in zip(due, self._raw_targets(minute, due)):
             target = max(
                 state.spec.min_cores, min(state.spec.max_cores, raw_target)
             )
@@ -517,6 +526,40 @@ class ClusterEngine:
                 target,
                 minute + self.config.resize_delay_minutes,
             )
+
+    def _raw_targets(self, minute: int, due: list[_TenantState]) -> list[int]:
+        """Each due tenant's Algorithm 1 target, before its pod guardrails.
+
+        Tenants sharing a curve and a window length step through
+        :func:`~repro.engine.kernel.decide_batch` together —
+        byte-identical to consulting each recommender in turn, which is
+        what ``CAASPER_ENGINE=scalar`` does instead. Every due tenant
+        observed this minute, so no window is empty.
+        """
+        if not self._vector:
+            return [
+                int(state.recommender.recommend(minute, state.limit_cores))
+                for state in due
+            ]
+        from ..engine import kernel
+
+        windows = [state.recommender.usage_window() for state in due]
+        groups: dict[tuple, list[int]] = {}
+        for position, (state, window) in enumerate(zip(due, windows)):
+            key = (self._curves[state.index], window.size)
+            groups.setdefault(key, []).append(position)
+        targets = [0] * len(due)
+        for (curve, _n), members in groups.items():
+            lanes = [due[position] for position in members]
+            out = kernel.decide_batch(
+                np.stack([windows[position] for position in members]),
+                np.array([state.limit_cores for state in lanes], dtype=np.int64),
+                self._params.gather(np.array([state.index for state in lanes])),
+                curve,
+            )
+            for position, target in zip(members, out.tolist()):
+                targets[position] = target
+        return targets
 
     def _pending_millicores(self) -> int:
         pending = 0
@@ -583,48 +626,6 @@ class ClusterEngine:
             faults_fired=self.faults_fired,
             placement_log=tuple(self.placement.log),
         )
-
-
-def _raw_targets(minute: int, due: list[_TenantState]) -> list[int]:
-    """Each due tenant's Algorithm 1 target, before its pod guardrails.
-
-    Tenants sharing curve geometry (core ceiling, history length) step
-    through :func:`~repro.engine.kernel.decide_batch` together —
-    byte-identical to consulting each recommender in turn, which is what
-    ``CAASPER_ENGINE=scalar`` does instead. Every due tenant observed
-    this minute, so no window is empty.
-    """
-    if not engine_enabled():
-        return [
-            int(state.recommender.recommend(minute, state.limit_cores))
-            for state in due
-        ]
-    from ..engine.kernel import LaneParams, decide_batch
-
-    windows = [state.recommender.usage_window() for state in due]
-    groups: dict[tuple[int, int, float, float], list[int]] = {}
-    for position, (state, window) in enumerate(zip(due, windows)):
-        config = state.recommender.config
-        key = (config.max_cores, window.size, config.slope_scale, config.quantile)
-        groups.setdefault(key, []).append(position)
-    targets = [0] * len(due)
-    for (max_cores, _n, slope_scale, quantile), members in groups.items():
-        out = decide_batch(
-            np.stack([windows[position] for position in members]),
-            np.array(
-                [due[position].limit_cores for position in members],
-                dtype=np.int64,
-            ),
-            LaneParams.from_configs(
-                [due[position].recommender.config for position in members]
-            ),
-            max_cores,
-            slope_scale,
-            quantile,
-        )
-        for position, target in zip(members, out.tolist()):
-            targets[position] = target
-    return targets
 
 
 def run_capacity(

@@ -27,11 +27,23 @@ from .config import CaasperConfig
 from .proactive import ProactiveWindowBuilder
 from .reactive import ReactiveDecision, ReactivePolicy
 
-__all__ = ["CaasperRecommender"]
+__all__ = ["CaasperRecommender", "history_minutes"]
 
 #: How many seasonal periods of history the recommender retains; the naïve
 #: forecaster needs one, Holt-Winters needs two, so two plus slack.
 _HISTORY_PERIODS = 3
+
+
+def history_minutes(config: CaasperConfig) -> int:
+    """Minutes of usage history a recommender retains under ``config``:
+    what the configuration can use, and no more."""
+    if not config.proactive:
+        return config.window_minutes
+    period = config.seasonal_period_minutes
+    if period is None:
+        # Auto-detection needs enough signal; keep a week of minutes.
+        return 7 * 24 * 60
+    return max(_HISTORY_PERIODS * period, config.window_minutes)
 
 
 class CaasperRecommender(Recommender):
@@ -66,22 +78,11 @@ class CaasperRecommender(Recommender):
         self.decisions: list[ReactiveDecision] = []
         self._last_decision: ReactiveDecision | None = None
 
-        history_cap = self._history_capacity()
-        self._usage: deque[float] = deque(maxlen=history_cap)
+        self._usage: deque[float] = deque(maxlen=history_minutes(self.config))
         self._first_minute: int | None = None
         self._last_minute: int | None = None
         if self.config.proactive:
             self.name = "caasper-proactive"
-
-    def _history_capacity(self) -> int:
-        """Bound history retention to what the configuration can use."""
-        period = self.config.seasonal_period_minutes
-        if not self.config.proactive:
-            return self.config.window_minutes
-        if period is None:
-            # Auto-detection needs enough signal; keep a week of minutes.
-            return 7 * 24 * 60
-        return max(_HISTORY_PERIODS * period, self.config.window_minutes)
 
     # -- Recommender interface ---------------------------------------------------
 

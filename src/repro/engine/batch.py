@@ -31,35 +31,27 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import EllipsisType
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.config import CaasperConfig
-from ..core.recommender import CaasperRecommender
+from ..core.recommender import CaasperRecommender, history_minutes
 from ..errors import SimulationError
 from ..obs.events import EngineBatchEvent
 from ..sim.metrics import SimulationMetrics
 from ..sim.results import ScalingEvent, SimulationResult
 from ..sim.simulator import simulate_trace
 from .jobs import EngineJob
-from .kernel import (
-    LaneParams,
-    decide_batch,
-    decide_lane,
-    rounding_code,
-)
+from .kernel import Curve, LaneParams, decide_batch, decide_lane, lane_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.observer import Observer
     from ..store.cas import ResultStore
 
 __all__ = ["BatchEngine", "vectorizable"]
-
-#: How many seasonal periods of history a proactive lane retains
-#: (mirrors ``repro.core.recommender._HISTORY_PERIODS``).
-_HISTORY_PERIODS = 3
 
 
 def vectorizable(config: CaasperConfig) -> bool:
@@ -79,71 +71,59 @@ def vectorizable(config: CaasperConfig) -> bool:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Cohort:
-    """Lanes that share curve/window geometry and can decide together."""
+    """The window geometry of lanes that decide in one kernel call.
 
-    lanes: np.ndarray
-    proactive: bool
+    Equal cohorts group lanes, so the fields are exactly what
+    ``decide_batch`` needs uniform: the curve and the window shape
+    (proactive fields are zero for a reactive lane). ``maxlen`` and
+    ``hidx`` are derived.
+    """
+
+    curve: Curve
     window_minutes: int
-    max_cores: int
-    slope_scale: float
-    quantile: float
     period: int
     horizon: int
     history_tail: int
-    maxlen: int
-    ks: np.ndarray
-    hidx: np.ndarray | None
+    maxlen: int = field(compare=False)
+    hidx: np.ndarray = field(compare=False)
 
-
-def _cohort_key(config: CaasperConfig) -> tuple:
-    base = (
-        config.proactive,
-        config.window_minutes,
-        config.max_cores,
-        config.slope_scale,
-        config.quantile,
-    )
-    if not config.proactive:
-        return base
-    return base + (
-        config.seasonal_period_minutes,
-        config.forecast_horizon_minutes,
-        config.history_tail_minutes,
-    )
-
-
-def _build_cohorts(jobs: Sequence[EngineJob]) -> list[_Cohort]:
-    groups: dict[tuple, list[int]] = {}
-    for lane, job in enumerate(jobs):
-        groups.setdefault(_cohort_key(job.config), []).append(lane)
-    cohorts = []
-    for lanes in groups.values():
-        config = jobs[lanes[0]].config
+    @classmethod
+    def of(cls, config: CaasperConfig) -> "_Cohort":
         period = config.seasonal_period_minutes if config.proactive else 0
         assert period is not None  # vectorizable() guarantees it
-        cohorts.append(
-            _Cohort(
-                lanes=np.array(lanes, dtype=np.int64),
-                proactive=config.proactive,
-                window_minutes=config.window_minutes,
-                max_cores=config.max_cores,
-                slope_scale=config.slope_scale,
-                quantile=config.quantile,
-                period=period,
-                horizon=config.forecast_horizon_minutes,
-                history_tail=config.history_tail_minutes,
-                maxlen=max(_HISTORY_PERIODS * period, config.window_minutes),
-                ks=np.arange(1, config.max_cores + 1),
-                hidx=(
-                    np.arange(config.forecast_horizon_minutes) % period
-                    if config.proactive
-                    else None
-                ),
-            )
+        horizon = config.forecast_horizon_minutes if period else 0
+        return cls(
+            Curve.of(config),
+            config.window_minutes,
+            period,
+            horizon,
+            config.history_tail_minutes if period else 0,
+            history_minutes(config),
+            np.arange(horizon) % period if period else np.arange(0),
         )
-    return cohorts
+
+    def window(
+        self, usage: np.ndarray, rows: np.ndarray | EllipsisType, minute: int
+    ) -> np.ndarray:
+        """The Algorithm 1 input window at ``minute`` for ``rows`` of
+        ``usage`` — a lane-index array into a ``(lanes, minutes)``
+        matrix, or ``...`` for a single lane's 1-D series.
+
+        Proactive lanes with a full seasonal period see the recent
+        history tail followed by the naive forecast (the last period
+        replayed over the horizon, Eq. 4); every other lane sees its
+        last ``window_minutes`` of usage.
+        """
+        end = minute + 1
+        if self.period and end >= self.period:
+            tail = min(end, self.maxlen, self.history_tail)
+            last_period = usage[rows, end - self.period : end]
+            horizon = np.maximum(last_period.take(self.hidx, -1), 0.0)
+            return np.concatenate([usage[rows, end - tail : end], horizon], axis=-1)
+        n = min(end, self.window_minutes)
+        return usage[rows, end - n : end]
 
 
 def _finalize(
@@ -264,7 +244,7 @@ class BatchEngine:
                     vector_lanes=len(vector),
                     scalar_lanes=len(scalar),
                     cache_hits=cache_hits,
-                    cohorts=len({_cohort_key(jobs[i].config) for i in vector}),
+                    cohorts=len({_Cohort.of(jobs[i].config) for i in vector}),
                     elapsed_seconds=time.perf_counter() - start,
                 )
             )
@@ -295,14 +275,8 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
     interval = sim.decision_interval_minutes
     cooldown = sim.cooldown_minutes
     delay = sim.resize_delay_minutes
-    max_cores = config.max_cores
-    ks = np.arange(1, max_cores + 1)
-    rounding = rounding_code(config.rounding.value)
-    if config.proactive:
-        period = config.seasonal_period_minutes
-        assert period is not None  # vectorizable() guarantees it
-        maxlen = max(_HISTORY_PERIODS * period, config.window_minutes)
-        hidx = np.arange(config.forecast_horizon_minutes) % period
+    cohort = _Cohort.of(config)
+    window_at, curve, row = cohort.window, cohort.curve, lane_row(config)
 
     limit = int(sim.initial_cores)
     pending = -1
@@ -346,33 +320,7 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
         if minute == grid_minute:
             grid_minute += interval
             if pending < 0 and minute - last_enacted >= cooldown:
-                if config.proactive and minute + 1 >= period:
-                    tail = min(min(minute + 1, maxlen), config.history_tail_minutes)
-                    last_period = usage[minute + 1 - period : minute + 1]
-                    horizon = np.maximum(last_period[hidx], 0.0)
-                    window = np.concatenate(
-                        [usage[minute + 1 - tail : minute + 1], horizon]
-                    )
-                else:
-                    n = min(minute + 1, config.window_minutes)
-                    window = usage[minute + 1 - n : minute + 1]
-                target = decide_lane(
-                    window,
-                    limit,
-                    s_high=config.s_high,
-                    s_low=config.s_low,
-                    m_high=config.m_high,
-                    m_low=config.m_low,
-                    sf_max_up=float(config.sf_max_up),
-                    sf_max_down=float(config.sf_max_down),
-                    c_min=config.c_min,
-                    scale_down_headroom=config.scale_down_headroom,
-                    rounding=rounding,
-                    max_cores=max_cores,
-                    slope_scale=config.slope_scale,
-                    quantile=config.quantile,
-                    ks=ks,
-                )
+                target = decide_lane(window_at(usage, ..., minute), limit, row, curve)
                 if target < 1:
                     raise SimulationError(
                         f"{job.name} recommended non-positive cores "
@@ -427,7 +375,10 @@ def _simulate_many(jobs: Sequence[EngineJob]) -> list[SimulationResult]:
     events: list[list[ScalingEvent]] = [[] for _ in range(lanes)]
 
     params = LaneParams.from_configs([job.config for job in jobs])
-    cohorts = _build_cohorts(jobs)
+    groups: dict[_Cohort, list[int]] = {}
+    for lane, job in enumerate(jobs):
+        groups.setdefault(_Cohort.of(job.config), []).append(lane)
+    cohorts = {cohort: np.array(ids, dtype=np.int64) for cohort, ids in groups.items()}
 
     # Visited minutes: the union of each interval's decision grid (bounded
     # by the longest trace using that interval — shorter/converged lanes
@@ -523,7 +474,7 @@ def _simulate_many(jobs: Sequence[EngineJob]) -> list[SimulationResult]:
 
 def _decide_cohorts(
     jobs: Sequence[EngineJob],
-    cohorts: list[_Cohort],
+    cohorts: dict[_Cohort, np.ndarray],
     due: np.ndarray,
     minute: int,
     usage: np.ndarray,
@@ -538,28 +489,16 @@ def _decide_cohorts(
     t_end: np.ndarray,
     enact_heap: list[int],
 ) -> None:
-    """Run one decision minute: window assembly + kernel per cohort."""
-    for cohort in cohorts:
-        idx = cohort.lanes[due[cohort.lanes]]
+    """Run one decision minute: one kernel call per cohort."""
+    for cohort, lanes in cohorts.items():
+        idx = lanes[due[lanes]]
         if idx.size == 0:
             continue
-        if cohort.proactive and minute + 1 >= cohort.period:
-            tail = min(min(minute + 1, cohort.maxlen), cohort.history_tail)
-            last_period = usage[idx, minute + 1 - cohort.period : minute + 1]
-            horizon = np.maximum(last_period[:, cohort.hidx], 0.0)
-            window = np.concatenate(
-                [usage[idx, minute + 1 - tail : minute + 1], horizon], axis=1
-            )
-        else:
-            n = min(minute + 1, cohort.window_minutes)
-            window = usage[idx, minute + 1 - n : minute + 1]
         targets = decide_batch(
-            window,
+            cohort.window(usage, idx, minute),
             limit[idx],
             params.gather(idx),
-            cohort.max_cores,
-            cohort.slope_scale,
-            cohort.quantile,
+            cohort.curve,
         )
         if (targets < 1).any():
             bad = int(targets[targets < 1][0])

@@ -9,6 +9,10 @@ Two kernels evaluate exactly the arithmetic of
   reductions (mean/std/skew/quantile) replaced by cheaper replications
   that are bit-for-bit equal to the numpy originals.
 
+Both describe a lane the same way: a :class:`Curve` the lanes of one
+call share, plus the lane's thresholds (a :class:`LaneRow`, stacked
+into :class:`LaneParams` for the batch).
+
 Byte identity with the scalar oracle is the contract, so every shortcut
 is certified at import time by :func:`certify` against deterministic
 probe arrays. When a probe disagrees on the installed numpy build, the
@@ -29,20 +33,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from ..core.config import CaasperConfig
+
 __all__ = [
+    "Curve",
     "LaneParams",
+    "LaneRow",
+    "axis_moments",
     "certify",
     "decide_batch",
     "decide_lane",
+    "lane_row",
+    "replica_moments",
     "replications_certified",
+    "sorted_quantile",
     "axis_reductions_certified",
 ]
 
-#: Rounding-mode codes used by the per-lane parameter vectors
-#: (:class:`~repro.core.config.RoundingMode` ``FLOOR``/``NEAREST``/``CEIL``).
+#: Rounding-mode codes of :attr:`LaneRow.rounding`, keyed by
+#: :class:`~repro.core.config.RoundingMode` value.
 ROUND_FLOOR = 0
 ROUND_NEAREST = 1
 ROUND_CEIL = 2
@@ -55,19 +69,63 @@ _FLAT_TOL = 1e-9
 _STD_EPS = 1e-12
 
 
-def rounding_code(mode_value: str) -> int:
-    """Map a :class:`RoundingMode` value string to a kernel code."""
-    return _ROUND_CODES[mode_value]
+@dataclass(frozen=True)
+class Curve:
+    """The curve geometry lanes must share to decide in one kernel call.
+
+    ``ks`` (the integer core levels ``1..max_cores`` the PvP curve is
+    evaluated at) is derived once per curve. Hashable, so callers group
+    lanes on it directly.
+    """
+
+    max_cores: int
+    slope_scale: float
+    quantile: float
+
+    @cached_property
+    def ks(self) -> np.ndarray:
+        return np.arange(1, self.max_cores + 1)
+
+    @classmethod
+    def of(cls, config: CaasperConfig) -> "Curve":
+        """The curve of one ``CaasperConfig``."""
+        return cls(config.max_cores, config.slope_scale, config.quantile)
+
+
+class LaneRow(NamedTuple):
+    """One lane's Algorithm 1 thresholds as plain Python scalars."""
+
+    s_high: float
+    s_low: float
+    m_high: float
+    m_low: float
+    sf_max_up: float
+    sf_max_down: float
+    c_min: int
+    scale_down_headroom: float
+    rounding: int
+
+
+def lane_row(config: CaasperConfig) -> LaneRow:
+    """The threshold row of one ``CaasperConfig``."""
+    return LaneRow(
+        config.s_high,
+        config.s_low,
+        config.m_high,
+        config.m_low,
+        float(config.sf_max_up),
+        float(config.sf_max_down),
+        config.c_min,
+        config.scale_down_headroom,
+        _ROUND_CODES[config.rounding.value],
+    )
 
 
 @dataclass(frozen=True)
 class LaneParams:
-    """Per-lane Algorithm 1 thresholds as parallel arrays (SoA layout).
-
-    One entry per lane of the batch; kernels gather the rows they need
-    with a lane-index array. Fields mirror
-    :class:`~repro.core.config.CaasperConfig` one-to-one.
-    """
+    """Per-lane thresholds as parallel arrays (SoA layout), one
+    :class:`LaneRow` field per array. Kernels gather the rows they need
+    with a lane-index array."""
 
     s_high: np.ndarray
     s_low: np.ndarray
@@ -80,39 +138,79 @@ class LaneParams:
     rounding: np.ndarray
 
     @classmethod
-    def from_configs(cls, configs: list) -> "LaneParams":
+    def from_configs(cls, configs: list[CaasperConfig]) -> "LaneParams":
         """Build the SoA view from one ``CaasperConfig`` per lane."""
+        rows = [lane_row(config) for config in configs]
         return cls(
-            s_high=np.array([c.s_high for c in configs], dtype=float),
-            s_low=np.array([c.s_low for c in configs], dtype=float),
-            m_high=np.array([c.m_high for c in configs], dtype=float),
-            m_low=np.array([c.m_low for c in configs], dtype=float),
-            sf_max_up=np.array([float(c.sf_max_up) for c in configs], dtype=float),
-            sf_max_down=np.array(
-                [float(c.sf_max_down) for c in configs], dtype=float
-            ),
-            c_min=np.array([c.c_min for c in configs], dtype=np.int64),
-            scale_down_headroom=np.array(
-                [c.scale_down_headroom for c in configs], dtype=float
-            ),
-            rounding=np.array(
-                [rounding_code(c.rounding.value) for c in configs], dtype=np.int64
-            ),
+            *(
+                np.array(
+                    [row[i] for row in rows],
+                    dtype=np.int64 if name in ("c_min", "rounding") else float,
+                )
+                for i, name in enumerate(LaneRow._fields)
+            )
         )
 
     def gather(self, idx: np.ndarray) -> "LaneParams":
         """The parameter rows of the selected lanes."""
-        return LaneParams(
-            s_high=self.s_high[idx],
-            s_low=self.s_low[idx],
-            m_high=self.m_high[idx],
-            m_low=self.m_low[idx],
-            sf_max_up=self.sf_max_up[idx],
-            sf_max_down=self.sf_max_down[idx],
-            c_min=self.c_min[idx],
-            scale_down_headroom=self.scale_down_headroom[idx],
-            rounding=self.rounding[idx],
-        )
+        return LaneParams(*(getattr(self, name)[idx] for name in LaneRow._fields))
+
+    def rows(self) -> list[LaneRow]:
+        """Every lane's thresholds as a :class:`LaneRow`."""
+        columns = (getattr(self, name).tolist() for name in LaneRow._fields)
+        return [LaneRow(*row) for row in zip(*columns)]
+
+
+# -- certified replications ---------------------------------------------------
+
+
+def sorted_quantile(sw: np.ndarray, quantile: float) -> Any:
+    """``np.quantile``'s linear method along the last axis of an
+    already-sorted array, including its ``gamma >= 0.5`` rewrite.
+
+    A 1-D window yields a Python float, a ``(lanes, n)`` matrix one
+    value per row. Bit-equal to ``np.quantile`` when :func:`certify`
+    passed.
+    """
+    n = sw.shape[-1]
+    virtual = quantile * (n - 1)
+    prev = math.floor(virtual)
+    gamma = virtual - prev
+    nxt = prev + 1 if prev + 1 < n else n - 1
+    if sw.ndim == 1:
+        lo, hi = float(sw[prev]), float(sw[nxt])
+    else:
+        lo, hi = sw[:, prev], sw[:, nxt]
+    diff = hi - lo
+    return (hi - diff * (1 - gamma)) if gamma >= 0.5 else (lo + diff * gamma)
+
+
+def replica_moments(x: np.ndarray) -> tuple[float, float, float | None]:
+    """``(mean, std, third standardized moment)`` of a 1-D array from
+    ``np.add.reduce`` sums; the moment is ``None`` below the degenerate
+    spread cutoff. Bit-equal to ``np.mean``, ``ndarray.std`` and
+    ``np.mean(z**3)`` when :func:`certify` passed."""
+    n = float(x.size)
+    mean = np.add.reduce(x) / n
+    centered = x - mean
+    std = math.sqrt(np.add.reduce(centered * centered) / n)
+    if std < _STD_EPS:
+        return mean, std, None
+    y = centered / std
+    return mean, std, float(np.add.reduce(y**3) / n)
+
+
+def axis_moments(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(mean, std, third standardized moment)`` of a matrix
+    from axis-1 reductions; the moment is 1.0 on rows below the
+    degenerate spread cutoff. Row by row bit-equal to ``ndarray.mean``,
+    ``ndarray.std`` and ``np.mean(z**3)`` when :func:`certify` passed."""
+    mean = mat.mean(axis=1)
+    std = mat.std(axis=1)
+    degenerate = std < _STD_EPS
+    std_safe = np.where(degenerate, 1.0, std)
+    third = (((mat - mean[:, None]) / std_safe[:, None]) ** 3).mean(axis=1)
+    return mean, std, np.where(degenerate, 1.0, third)
 
 
 # -- batched kernel ----------------------------------------------------------
@@ -122,9 +220,7 @@ def decide_batch(
     window: np.ndarray,
     cur: np.ndarray,
     params: LaneParams,
-    max_cores: int,
-    slope_scale: float,
-    quantile: float,
+    curve: Curve,
 ) -> np.ndarray:
     """Algorithm 1 for every row of ``window`` at once.
 
@@ -137,8 +233,8 @@ def decide_batch(
         Current whole-core allocation per lane (int64).
     params:
         Per-lane thresholds, already gathered down to these lanes.
-    max_cores, slope_scale, quantile:
-        Cohort-uniform curve parameters.
+    curve:
+        The curve geometry every lane shares.
 
     Returns
     -------
@@ -150,29 +246,12 @@ def decide_batch(
     is decided on its own through :func:`decide_lane` instead; on one
     whose replications failed, the quantile is ``np.quantile``'s own.
     """
-    lanes, n = window.shape
     if not _AXIS_OK:
-        ks = np.arange(1, max_cores + 1)
-        lane_args = zip(
-            window,
-            cur.tolist(),
-            params.s_high.tolist(),
-            params.s_low.tolist(),
-            params.m_high.tolist(),
-            params.m_low.tolist(),
-            params.sf_max_up.tolist(),
-            params.sf_max_down.tolist(),
-            params.c_min.tolist(),
-            params.scale_down_headroom.tolist(),
-            params.rounding.tolist(),
-        )
-        return np.array(
-            [
-                decide_lane(*row, max_cores, slope_scale, quantile, ks)
-                for row in lane_args
-            ],
-            dtype=np.int64,
-        )
+        per_lane = zip(window, cur.tolist(), params.rows())
+        targets = [decide_lane(w, c, row, curve) for w, c, row in per_lane]
+        return np.array(targets, dtype=np.int64)
+    lanes, n = window.shape
+    max_cores = curve.max_cores
     rows = np.arange(lanes)
     cur_f = cur.astype(float)
 
@@ -192,7 +271,7 @@ def decide_batch(
 
     # Forward-difference slopes with the virtual perf(max+1) := 1.0 pad.
     padded = np.concatenate([perf, np.ones((lanes, 1))], axis=1)
-    slopes = (padded[:, 1:] - padded[:, :-1]) * slope_scale
+    slopes = (padded[:, 1:] - padded[:, :-1]) * curve.slope_scale
 
     # Slope and curve lookups at the (clamped) current allocation.
     cur_idx = np.clip(cur, 1, max_cores) - 1
@@ -201,21 +280,9 @@ def decide_batch(
     perf_at_cur = perf[rows, cur_idx]
 
     if _REPLICA_OK:
-        # np.quantile's linear method, vectorized over the sorted rows,
-        # including its gamma >= 0.5 rewrite (certified at import).
-        sw = np.sort(window, axis=1)
-        virtual = quantile * (n - 1)
-        prev = math.floor(virtual)
-        gamma = virtual - prev
-        lo = sw[:, prev]
-        hi = sw[:, prev + 1 if prev + 1 < n else n - 1]
-        diff = hi - lo
-        if gamma >= 0.5:
-            q_cores = hi - diff * (1 - gamma)
-        else:
-            q_cores = lo + diff * gamma
+        q_cores = sorted_quantile(np.sort(window, axis=1), curve.quantile)
     else:
-        q_cores = np.quantile(window, quantile, axis=1)
+        q_cores = np.quantile(window, curve.quantile, axis=1)
     headroom_breached = q_cores >= (1.0 - params.m_high) * cur_f
     mostly_idle = q_cores <= params.m_low * cur_f
     flat_top = above_curve | ((cur >= 1) & (perf_at_cur >= 1.0 - _FLAT_TOL))
@@ -249,13 +316,8 @@ def decide_batch(
     skew = np.ones(lanes)
     need = acting & (slope > 0.0)
     if need.any():
-        sub = slopes[need]
-        mean = sub.mean(axis=1)
-        std = sub.std(axis=1)
-        degenerate = std < _STD_EPS
-        std_safe = np.where(degenerate, 1.0, std)
-        cubed = (((sub - mean[:, None]) / std_safe[:, None]) ** 3).mean(axis=1)
-        skew[need] = np.where(degenerate, 1.0, np.maximum(cubed, 1.0))
+        _, _, third = axis_moments(slopes[need])
+        skew[need] = np.maximum(third, 1.0)
 
     # Eq. 3, for the acting rows.
     raw_sf = np.zeros(lanes)
@@ -291,61 +353,31 @@ def decide_batch(
 # -- single-lane kernel ------------------------------------------------------
 
 
-def decide_lane(
-    window: np.ndarray,
-    cur: int,
-    s_high: float,
-    s_low: float,
-    m_high: float,
-    m_low: float,
-    sf_max_up: float,
-    sf_max_down: float,
-    c_min: int,
-    scale_down_headroom: float,
-    rounding: int,
-    max_cores: int,
-    slope_scale: float,
-    quantile: float,
-    ks: np.ndarray,
-) -> int:
+def decide_lane(window: np.ndarray, cur: int, row: LaneRow, curve: Curve) -> int:
     """Algorithm 1 for one lane, tuned for per-decision latency.
 
-    When :func:`certify` passed, the oracle's mean/std/skew/quantile
-    reductions are swapped for certified bit-equal replications built
-    on ``np.add.reduce`` and a manual linear interpolation over the
+    ``row`` is the lane's thresholds (:func:`lane_row`). When
+    :func:`certify` passed, the oracle's mean/std/skew/quantile
+    reductions are swapped for the certified bit-equal replications
+    :func:`replica_moments` and :func:`sorted_quantile` over the
     already-sorted window. Otherwise the lane runs the oracle's own
     numpy calls — always exact, roughly 2× slower.
     """
-    n = window.size
+    s_high, s_low, m_high, m_low, sf_up, sf_down, c_min, headroom, rounding = row
+    max_cores = curve.max_cores
     sw = np.sort(window)
-    counts = np.searchsorted(sw, ks, side="left")
-    perf = counts / float(n)
+    counts = np.searchsorted(sw, curve.ks, side="left")
+    perf = counts / float(window.size)
 
     padded = np.empty(max_cores + 1)
     padded[:max_cores] = perf
     padded[max_cores] = 1.0
-    slopes = (padded[1:] - padded[:max_cores]) * slope_scale
+    slopes = (padded[1:] - padded[:max_cores]) * curve.slope_scale
 
     if _REPLICA_OK:
-        mean = np.add.reduce(slopes) / float(max_cores)
-        centered = slopes - mean
-        sq = centered * centered
-        std = math.sqrt(np.add.reduce(sq) / float(max_cores))
-        if std < _STD_EPS:
-            skew = 1.0
-        else:
-            y = centered / std
-            y = y**3
-            skew = max(float(np.add.reduce(y) / float(max_cores)), 1.0)
-        # np.quantile's linear method on the sorted window, including its
-        # gamma >= 0.5 rewrite (certified bit-equal at import).
-        virtual = quantile * (n - 1)
-        prev = math.floor(virtual)
-        gamma = virtual - prev
-        lo = float(sw[prev])
-        hi = float(sw[prev + 1 if prev + 1 < n else n - 1])
-        diff = hi - lo
-        q_cores = (hi - diff * (1 - gamma)) if gamma >= 0.5 else (lo + diff * gamma)
+        _, _, third = replica_moments(slopes)
+        skew = 1.0 if third is None else max(third, 1.0)
+        q_cores = sorted_quantile(sw, curve.quantile)
     else:
         std = float(slopes.std())
         if std < _STD_EPS:
@@ -353,7 +385,7 @@ def decide_lane(
         else:
             mean = float(slopes.mean())
             skew = max(float(np.mean(((slopes - mean) / std) ** 3)), 1.0)
-        q_cores = float(np.quantile(window, quantile))
+        q_cores = float(np.quantile(window, curve.quantile))
 
     if cur > max_cores:
         slope = 0.0
@@ -379,16 +411,16 @@ def decide_lane(
         # meeting the reference, exactly like the oracle's linear scan.
         hit = int(np.searchsorted(perf, reference - _FLAT_TOL, side="left"))
         target = hit + 1 if hit < max_cores else min(cur, max_cores)
-        buffered = math.ceil(target * (1.0 + scale_down_headroom))
+        buffered = math.ceil(target * (1.0 + headroom))
         gap = cur - min(buffered, cur)
         step = -max(raw_sf, float(gap)) if gap > 0 else 0.0
     else:
         step = 0.0
 
     if step > 0:
-        step = min(step, sf_max_up)
+        step = min(step, sf_up)
     elif step < 0:
-        step = max(step, -sf_max_down)
+        step = max(step, -sf_down)
     if rounding == ROUND_FLOOR:
         delta = math.floor(step) if step >= 0 else math.ceil(step)
     elif rounding == ROUND_NEAREST:
@@ -423,44 +455,28 @@ def certify() -> tuple[bool, bool]:
 
     Returns ``(replications_ok, axis_reductions_ok)``:
 
-    - *replications*: the single-lane shortcuts (``add.reduce`` moments,
-      manual quantile lerp) are bit-equal to ``np.mean``/``ndarray.std``/
+    - *replications*: :func:`replica_moments` and :func:`sorted_quantile`
+      (on a window and on a stacked matrix), the very functions the
+      kernels call, are bit-equal to ``np.mean``/``ndarray.std``/
       ``np.quantile`` on this build;
-    - *axis reductions*: axis-1 reductions over a stacked matrix are
-      bit-equal to the same reduction applied row by row.
+    - *axis reductions*: :func:`axis_moments` and ``np.quantile`` over
+      a stacked matrix are bit-equal to the same reductions applied row
+      by row.
     """
     probes = _probe_windows()
     replica_ok = True
     axis_ok = True
 
     for w in probes:
-        n = w.size
-        mean = float(np.mean(w))
-        if np.add.reduce(w) / float(n) != mean:
+        mean, std, third = replica_moments(w)
+        if mean != float(np.mean(w)) or std != float(w.std()):
             replica_ok = False
-        centered = w - mean
-        sq = centered * centered
-        if math.sqrt(np.add.reduce(sq) / float(n)) != float(w.std()):
-            replica_ok = False
-        std = float(w.std())
-        if std >= _STD_EPS:
-            y = (w - mean) / std
-            lhs = float(np.add.reduce(y**3) / float(n))
-            rhs = float(np.mean(((w - mean) / std) ** 3))
-            if lhs != rhs:
+        elif third is not None:
+            if third != float(np.mean(((w - mean) / std) ** 3)):
                 replica_ok = False
         sw = np.sort(w)
         for q in _PROBE_QUANTILES:
-            virtual = q * (n - 1)
-            prev = math.floor(virtual)
-            gamma = virtual - prev
-            lo = float(sw[prev])
-            hi = float(sw[prev + 1 if prev + 1 < n else n - 1])
-            diff = hi - lo
-            lerp = (
-                (hi - diff * (1 - gamma)) if gamma >= 0.5 else (lo + diff * gamma)
-            )
-            if lerp != float(np.quantile(w, q)):
+            if sorted_quantile(sw, q) != float(np.quantile(w, q)):
                 replica_ok = False
 
     # Stack equal-length probes and compare axis-1 reductions to per-row.
@@ -469,29 +485,22 @@ def certify() -> tuple[bool, bool]:
         by_len.setdefault(w.size, []).append(w)
     for group in by_len.values():
         mat = np.stack(group)
-        rows = [mat[i] for i in range(mat.shape[0])]
-        if not np.array_equal(mat.mean(axis=1), np.array([r.mean() for r in rows])):
+        rows = list(mat)
+        mean, std, third = axis_moments(mat)
+        if not np.array_equal(mean, [r.mean() for r in rows]):
             axis_ok = False
-        if not np.array_equal(mat.std(axis=1), np.array([r.std() for r in rows])):
+        if not np.array_equal(std, [r.std() for r in rows]):
             axis_ok = False
-        mean_col = mat.mean(axis=1)[:, None]
-        std_col = mat.std(axis=1)[:, None]
-        if np.all(std_col >= _STD_EPS):
-            lhs_m = (((mat - mean_col) / std_col) ** 3).mean(axis=1)
-            rhs_m = np.array(
-                [
-                    float(np.mean(((r - float(r.mean())) / float(r.std())) ** 3))
-                    for r in rows
-                ]
-            )
-            if not np.array_equal(lhs_m, rhs_m):
-                axis_ok = False
+        for r, m3, spread in zip(rows, third.tolist(), std.tolist()):
+            if spread >= _STD_EPS:
+                if m3 != float(np.mean(((r - float(r.mean())) / spread) ** 3)):
+                    axis_ok = False
         for q in _PROBE_QUANTILES:
-            if not np.array_equal(
-                np.quantile(mat, q, axis=1),
-                np.array([float(np.quantile(r, q)) for r in rows]),
-            ):
+            per_row = np.array([float(np.quantile(r, q)) for r in rows])
+            if not np.array_equal(np.quantile(mat, q, axis=1), per_row):
                 axis_ok = False
+            if not np.array_equal(sorted_quantile(np.sort(mat, axis=1), q), per_row):
+                replica_ok = False
 
     return replica_ok, axis_ok
 

@@ -21,8 +21,6 @@ __all__ = [
     "SPAN_NAME_PREFIXES",
     "TRACE_NAMES",
     "TRACE_NAME_PREFIXES",
-    "is_registered_span_name",
-    "is_registered_trace_name",
 ]
 
 #: Exact span names usable as literals in ``span(...)``/``@timed(...)``.
@@ -54,13 +52,3 @@ TRACE_NAME_PREFIXES = (
     "serve:",
     "capacity:",
 )
-
-
-def is_registered_span_name(name: str) -> bool:
-    """True when ``name`` is declared exactly or under a prefix."""
-    return name in SPAN_NAMES or name.startswith(SPAN_NAME_PREFIXES)
-
-
-def is_registered_trace_name(name: str) -> bool:
-    """True when ``name`` is declared exactly or under a prefix."""
-    return name in TRACE_NAMES or name.startswith(TRACE_NAME_PREFIXES)

@@ -111,6 +111,9 @@ def simulator_for(guard: Guardrails, interval: int, delay: int) -> SimulatorConf
         max_cores=guard.max_cores,
         decision_interval_minutes=interval,
         resize_delay_minutes=delay,
+        # Capacity has no post-resize cooldown (docs/CAPACITY.md): a
+        # tenant is due again on its next grid minute after a resize lands.
+        cooldown_minutes=0,
     )
 
 

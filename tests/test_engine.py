@@ -86,6 +86,20 @@ def jobs_for(traces, config=CONFIG, sim=SIM):
     return [EngineJob.from_config(t, config, sim) for t in traces]
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so each call appends its arguments to the
+    returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestEdgeCases:
     def test_empty_batch(self):
         assert BatchEngine().run([]) == []
@@ -160,6 +174,29 @@ class TestCertificationFallbacks:
         traces = [bumpy_trace(200, s + 10, f"rep{s}") for s in range(3)]
         for trace, got in zip(traces, BatchEngine().run(jobs_for(traces))):
             assert blob(got) == blob(oracle(trace, CONFIG, SIM))
+
+    def test_uncertified_replications_on_one_lane(self, monkeypatch):
+        # A batch of one runs the single-lane loop, so decide_lane takes
+        # its numpy-original branch for every consult.
+        import repro.engine.batch as batch
+
+        monkeypatch.setattr(kernel, "_REPLICA_OK", False)
+        calls = count_calls(monkeypatch, batch, "decide_lane")
+        trace = bumpy_trace(600, 21, "lone")
+        [got] = BatchEngine().run(jobs_for([trace]))
+        assert calls
+        assert blob(got) == blob(oracle(trace, CONFIG, SIM))
+
+    def test_nothing_certified_stays_identical(self, monkeypatch):
+        # With neither fast path certified, decide_batch hands each row
+        # to decide_lane, which runs the oracle's own numpy calls.
+        monkeypatch.setattr(kernel, "_REPLICA_OK", False)
+        monkeypatch.setattr(kernel, "_AXIS_OK", False)
+        calls = count_calls(monkeypatch, kernel, "decide_lane")
+        traces = [bumpy_trace(200 + 20 * s, s + 30, f"none{s}") for s in range(3)]
+        for trace, got in zip(traces, BatchEngine().run(jobs_for(traces))):
+            assert blob(got) == blob(oracle(trace, CONFIG, SIM))
+        assert calls
 
     def test_unexpressible_config_falls_back_to_scalar(self):
         config = CaasperConfig(

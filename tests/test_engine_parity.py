@@ -11,7 +11,8 @@ per-lane configs and simulator environments) against that contract.
 
 import dataclasses
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -70,7 +71,9 @@ configs = st.builds(
     # inside short hypothesis traces.
     seasonal_period_minutes=st.integers(min_value=20, max_value=80),
     forecast_horizon_minutes=st.integers(min_value=1, max_value=40),
-    history_tail_minutes=st.integers(min_value=1, max_value=60),
+    # Tails up to past 3 periods, so the retained-history cap
+    # (history_minutes) binds on some proactive windows.
+    history_tail_minutes=st.integers(min_value=1, max_value=260),
 )
 
 simulators = st.builds(
@@ -89,7 +92,30 @@ simulators = st.builds(
 )
 
 
+def _step_down(minutes: int, seed: int) -> np.ndarray:
+    """Busy first half, quiet second half, with a little noise."""
+    noise = np.random.default_rng(seed).uniform(0.0, 1.25, minutes)
+    return np.where(np.arange(minutes) < minutes // 2, 9.0, 2.0) + noise
+
+
+#: The history tail asks for 240 minutes but a recommender retains 3
+#: periods (60), so the busy half must drop out of later windows.
+CAPPED_HISTORY = {
+    "config": CaasperConfig(
+        max_cores=16,
+        proactive=True,
+        seasonal_period_minutes=20,
+        window_minutes=10,
+        history_tail_minutes=240,
+    ),
+    "sim": SimulatorConfig(initial_cores=4, max_cores=16),
+}
+STEP_DOWNS = [_step_down(300, 1), _step_down(360, 2)]
+
+
 class TestBatchEngineParity:
+    @example(batch=STEP_DOWNS[:1], **CAPPED_HISTORY)
+    @example(batch=STEP_DOWNS, **CAPPED_HISTORY)
     @given(
         batch=st.lists(samples_arrays, min_size=1, max_size=4),
         config=configs,
